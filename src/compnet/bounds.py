@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activations import Activation, LOGISTIC
-from .linear import SingularGramError, build_gram, check_assumptions, solve_theta_star
+from .linear import (
+    SingularGramError,
+    build_gram,
+    check_assumptions,
+    component_losses,
+    solve_theta_star,
+)
 from .scaled import apply_wrapper, construct_wrapper
 
 STRICT_SLACK = 1e-12
@@ -180,11 +186,6 @@ def _draw_instance(rng: np.random.Generator, n: int, k: int, noise: float, budge
             )
 
 
-def _scalar_losses(cols: np.ndarray, y: np.ndarray) -> np.ndarray:
-    d = cols - y[:, None]
-    return np.sum(d * d, axis=0) / y.size
-
-
 def verify_strict_improvement(spec: TrialSpec) -> BoundReport:
     """Rate of E(optimal combination) < min over {bias, components}."""
     rng = np.random.default_rng(spec.seed)
@@ -204,7 +205,7 @@ def verify_strict_improvement(spec: TrialSpec) -> BoundReport:
         e_g = float(np.sum((pred - y) ** 2) / n)
         baseline = float(np.sum((1.0 - y) ** 2) / n)  # the bias column alone
         if k:
-            baseline = min(baseline, float(np.min(_scalar_losses(cols, y))))
+            baseline = min(baseline, float(np.min(component_losses(cols, y))))
         if e_g < baseline - STRICT_SLACK:
             successes += 1
     details = {"resamples": 100 * spec.trials - budget[0], "component_noise": spec.component_noise}
@@ -233,7 +234,7 @@ def verify_add_width(spec: TrialSpec) -> BoundReport:
         rhs = np.array([f0 @ y, f1 @ y])
         alpha = np.linalg.solve(gram, rhs)
         e = float(np.sum((alpha[0] * f0 + alpha[1] * f1 - y) ** 2) / n)
-        best = float(np.min(_scalar_losses(cols, y)))
+        best = float(np.min(component_losses(cols, y)))
         if e < best - STRICT_SLACK:
             successes += 1
     details = {"resamples": 100 * spec.trials - budget[0]}
@@ -267,7 +268,7 @@ def verify_depth_compounding(
     successes = 0
     for _ in range(spec.trials):
         y, cols = _draw_instance(rng, n, k, spec.component_noise, budget)
-        all_losses = _scalar_losses(cols, y)
+        all_losses = component_losses(cols, y)
         bias_loss = float(np.sum((1.0 - y) ** 2) / n)
         overall_best = min(bias_loss, float(np.min(all_losses)))
         prev_pred = None

@@ -51,7 +51,7 @@ from .linear import (
 )
 from .model import Component, count_parameters, loss_l2, registry, single_component_network
 from .scaled import apply_wrapper, construct_wrapper
-from .training import TrainConfig
+from .training import TrainConfig, history_csv
 
 REPORT_DIR_ENV = "COMPNET_REPORT_DIR"
 
@@ -103,10 +103,9 @@ def build_parser() -> _Parser:
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-2)
     p.add_argument("--patience", type=int, default=30)
-    p.add_argument("--schedule", default=None, help="exhaustive merge tree: balanced or chain")
+    p.add_argument("--schedule", choices=["balanced", "chain"], help="exhaustive merge tree")
     p.add_argument("--allow-large", action="store_true", help="lift the candidate-count guard")
-    p.add_argument("--history", default=None, help="write per-candidate training history CSVs here")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--history", help="write step{j}-cand{i}.csv training histories here")
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_compose)
 
@@ -123,7 +122,6 @@ def build_parser() -> _Parser:
     p.add_argument("--noise", type=float, default=0.5, help="component noise level")
     p.add_argument("--activation", default="logistic", help="activation for scaled-activation")
     p.add_argument("--epsilon", type=float, default=0.1, help="epsilon for scaled-activation")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_verify)
 
@@ -306,6 +304,10 @@ def _read_component_csv(path):
 
 
 def _cmd_compose(args):
+    if args.schedule is not None and args.mode != "exhaustive":
+        raise UsageError(
+            f"--schedule conflicts with mode {args.mode!r}: it is only valid with exhaustive"
+        )
     if args.selection == "validation":
         selection = "validation_loss"
     else:
@@ -326,16 +328,23 @@ def _cmd_compose(args):
             early_stop_patience=args.patience,
         ),
         selection_metric=selection,
-        jobs=args.jobs,
     )
     if args.mode == "dbcn":
-        report = dbcn(comps, dataset, cfg)
+        report = dbcn(comps, dataset, cfg, allow_large=args.allow_large)
     elif args.mode == "bbcn":
-        report = bbcn(comps, dataset, cfg)
+        report = bbcn(comps, dataset, cfg, allow_large=args.allow_large)
     else:
         report = exhaustive(
             comps, dataset, cfg, schedule=args.schedule, allow_large=args.allow_large
         )
+    if args.history:
+        out = Path(args.history)
+        out.mkdir(parents=True, exist_ok=True)
+        for j, step in enumerate(report.steps, start=1):
+            for i, cand in enumerate(step.candidates, start=1):
+                (out / f"step{j}-cand{i}.csv").write_text(
+                    history_csv(cand.history), encoding="utf-8"
+                )
     payload = report.to_dict()
     _print_construction(payload)
     return payload, [args.pool, args.data]

@@ -11,6 +11,12 @@ Three strategies over an ordered pool:
               its internal weights opened for training ('o') or kept
               frozen ('x'), every combination trained.
 
+All three run on one executor: a merge plan (the merge tree in the
+order its merges run, with the labels, names and seed keys of each
+merge) is walked once, and at each merge every candidate the variant
+policy offers is trained and the best kept.  The algorithms differ
+only in the plan's shape and in the policy.
+
 Each step trains only the newly added mixing weights (plus any newly
 opened component blocks); the already-built subtree acts as a frozen
 feature extractor.  Candidate seeds derive from a stable description
@@ -23,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,7 +48,7 @@ from .model import (
     loss_l2,
     single_component_network,
 )
-from .training import TrainConfig, TrainingError, parameter_layout, train
+from .training import EpochStats, TrainConfig, TrainingError, parameter_layout, train
 
 _CANDIDATE_GUARD = 2**12
 
@@ -58,15 +64,12 @@ class ConstructionConfig:
     k0: int = 2
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
     selection_metric: str = "train_loss"  # or "validation_loss"
-    jobs: int = 1
 
     def __post_init__(self):
         if not self.activations:
             raise ConstructionError("need at least one activation")
         if self.selection_metric not in ("train_loss", "validation_loss"):
             raise ConstructionError(f"unknown selection metric {self.selection_metric!r}")
-        if self.jobs < 1:
-            raise ConstructionError("jobs must be positive")
 
 
 @dataclass
@@ -76,6 +79,8 @@ class CandidateRecord:
     test_loss: float
     trainable: int
     total: int
+    # per-epoch losses; not part of the report (empty when training failed)
+    history: list[EpochStats] = field(default_factory=list, repr=False)
 
     def metric(self, selection_metric: str) -> float:
         return self.train_loss if selection_metric == "train_loss" else self.test_loss
@@ -172,14 +177,10 @@ def component_loss(comp: Component, data: Dataset, split: str = "train") -> floa
 
 @dataclass
 class _State:
-    name: str
     net: CompositeNetwork
     comps: dict[str, Component]
     train_loss: float
     test_loss: float
-    # non-instantiated components that entered the subtree but have not
-    # been trained yet; they open up at the next merge involving them
-    fresh: set[str] = field(default_factory=set)
 
     def metric(self, selection_metric: str) -> float:
         return self.train_loss if selection_metric == "train_loss" else self.test_loss
@@ -190,8 +191,7 @@ def _component_state(comp: Component, data: Dataset) -> _State:
     comps = {comp.id: comp}
     tr = loss_l2(net, comps, data, "train")
     te = loss_l2(net, comps, data, "test") if data.test_idx.size else float("nan")
-    fresh = {comp.id} if any(not f for f in comp.frozen) else set()
-    return _State(comp.id, net, comps, tr, te, fresh)
+    return _State(net, comps, tr, te)
 
 
 def _derive_seed(base: int, key: str) -> int:
@@ -265,8 +265,9 @@ def _train_candidate(cand: _Candidate, data: Dataset, cfg: ConstructionConfig):
         last.test_loss,
         layout.size,
         count_parameters(result.net, result.components)["total"],
+        result.history,
     )
-    state = _State("", result.net, result.components, last.train_loss, last.test_loss)
+    state = _State(result.net, result.components, last.train_loss, last.test_loss)
     return state, record, None
 
 
@@ -275,13 +276,8 @@ def _run_step(
     candidates: list[_Candidate],
     data: Dataset,
     cfg: ConstructionConfig,
-    winner_name: str,
 ) -> tuple[_State, StepRecord, list[str]]:
-    if cfg.jobs > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(lambda c: _train_candidate(c, data, cfg), candidates))
-    else:
-        outcomes = [_train_candidate(c, data, cfg) for c in candidates]
+    outcomes = [_train_candidate(c, data, cfg) for c in candidates]
     records = [rec for _, rec, _ in outcomes]
     notes = [
         f"{label}: candidate {rec.description} failed training: {err}"
@@ -302,7 +298,6 @@ def _run_step(
     if best is None:
         raise ConstructionError(f"{label}: every candidate failed training")
     state, rec = best
-    state.name = winner_name
     return state, StepRecord(label, records, rec.description), notes
 
 
@@ -319,47 +314,191 @@ def _prune_index(metric_values: list[float], delta: float) -> int:
     return i
 
 
-def _greedy_chain(
-    initial: _State,
-    rest: list[Component],
+# -- merge plans -----------------------------------------------------------
+
+
+@dataclass(eq=False)
+class _Merge:
+    """One merge of a plan.  A plan is a list of merges in run order,
+    operands before the merges that use them, with a dict that names
+    every operand for candidate descriptions.  Operands are pool indices
+    or earlier merges (standing for their winners); merges hash by
+    identity."""
+
+    left: int | _Merge
+    right: int | _Merge
+    level: int  # height in the merge tree; pool leaves are level 0
+    label: str = ""
+    seed_prefix: str = ""
+    notes: list[str] = field(default_factory=list)  # recorded after the step
+
+
+def _level(operand) -> int:
+    return 0 if isinstance(operand, int) else operand.level
+
+
+def _merges(tree) -> list[_Merge]:
+    """The merges of a schedule tree in postorder."""
+    merges: list[_Merge] = []
+
+    def visit(node):
+        if isinstance(node, int):
+            return node
+        left, right = visit(node[0]), visit(node[1])
+        merges.append(_Merge(left, right, 1 + max(_level(left), _level(right))))
+        return merges[-1]
+
+    visit(tree)
+    return merges
+
+
+def _chain_plan(pool: list[Component], k0: int) -> tuple[list[_Merge], dict, list]:
+    """dbcn/bbcn plan over ``balanced_schedule(len(pool), k0)``.
+
+    The first k0 - 1 merges are the balanced stage.  They run level by
+    level as 'balance level s slot t' and their winners are h{s}_{t}; an
+    operand left over at the end of a level is carried up under the next
+    slot's name.  The stage's root is g{k0}, and each chain merge above it
+    is 'depth d' with winner g{d}.  k0 = 1 is dbcn's chain.  Also returns
+    the chain [g{k0}, g{k0+1}, ...] that pruning walks.
+    """
+    merges = _merges(balanced_schedule(len(pool), k0))
+    balanced = sorted(merges[: k0 - 1], key=lambda m: m.level)
+    chain = merges[k0 - 1 :]
+    names: dict = {i: (f"h0_{i + 1}" if i < k0 else c.id) for i, c in enumerate(pool)}
+    last_of_level = {m.level: m for m in balanced}
+    slots: Counter = Counter()
+    for m in balanced:
+        s, t = m.level, slots[m.level]
+        slots[s] += 1
+        m.label, m.seed_prefix = f"balance level {s} slot {t + 1}", f"balance{s}:{t}"
+        names[m] = f"h{s}_{t + 1}"
+        for operand in (m.left, m.right):
+            for carried in range(_level(operand) + 1, s):
+                # lower levels ran first, so slots[carried] is final
+                alias = f"h{carried}_{slots[carried] + 1}"
+                last_of_level[carried].notes.append(
+                    f"{alias} <- {names[operand]} (carried unmerged)"
+                )
+                names[operand] = alias
+    root = balanced[-1] if balanced else 0
+    names[root] = f"g{k0}"
+    for i, m in enumerate(chain):
+        depth = k0 + i + 1
+        m.label, m.seed_prefix = f"depth {depth}", f"merge{i}"
+        names[m] = f"g{depth}"
+    return balanced + chain, names, [root, *chain]
+
+
+def _marks(fresh: bool, open_all: bool) -> str:
+    """The variant policy: the forms an operand takes at a merge, 'x'
+    frozen or 'o' opened for training.  A fresh operand (a leaf holding
+    a non-instantiated component) exists only open.  The natural policy
+    keeps every other operand frozen; the 'all' policy (``open_all``)
+    also offers it opened."""
+    if fresh:
+        return "o"
+    return "xo" if open_all else "x"
+
+
+def _variant(state: _State, mark: str, fresh: bool) -> tuple[_State, set[str]]:
+    """The operand state for one mark and the component ids it opens."""
+    if mark == "x":
+        return state, set()
+    if fresh:
+        return state, set(state.comps)
+    comps = {cid: comp.opened_copy() for cid, comp in state.comps.items()}
+    return replace(state, comps=comps), set(comps)
+
+
+def _execute(
+    pool: list[Component],
+    merges: list[_Merge],
+    names: dict,
     data: Dataset,
     cfg: ConstructionConfig,
-    namer: _Namer,
-    first_depth: int,
-    merge_start: int,
-):
-    """Shared chain loop: returns (chain states, step records, notes)."""
-    chain = [initial]
+    open_all: bool,
+    allow_large: bool,
+) -> tuple[dict, list[StepRecord], list[str]]:
+    """Run a merge plan: at each merge, train one candidate per activation
+    and operand variant, and keep the winner.  Returns the state of every
+    operand (pool index or merge), the step records and the notes."""
+
+    def fresh(operand) -> bool:
+        return isinstance(operand, int) and not all(pool[operand].frozen)
+
+    def variants(operand) -> list[tuple[str, _State, set[str]]]:
+        return [
+            (mark, *_variant(states[operand], mark, fresh(operand)))
+            for mark in _marks(fresh(operand), open_all)
+        ]
+
+    total = len(cfg.activations) * sum(
+        len(_marks(fresh(m.left), open_all)) * len(_marks(fresh(m.right), open_all))
+        for m in merges
+    )
+    if total > _CANDIDATE_GUARD and not allow_large:
+        raise ConstructionError(
+            f"{total} candidates exceed the guard of {_CANDIDATE_GUARD}; "
+            "pass allow_large=True (or --allow-large) to override"
+        )
+
+    states: dict = {i: _component_state(comp, data) for i, comp in enumerate(pool)}
+    namer = _Namer()
     steps: list[StepRecord] = []
     notes: list[str] = []
-    for offset, comp in enumerate(rest):
-        depth = first_depth + offset + 1
-        merge_index = merge_start + offset
-        prev = chain[-1]
-        right = _component_state(comp, data)
-        opened = prev.fresh | right.fresh
-        lmark = "o" if prev.fresh else "x"
-        rmark = "o" if right.fresh else "x"
+    for m in merges:
+        lname, rname = names[m.left], names[m.right]
+        lvars, rvars = variants(m.left), variants(m.right)
         candidates = []
         for act in cfg.activations:
-            candidates.append(
-                _build_candidate(
-                    prev,
-                    right,
-                    act,
-                    namer,
-                    description=f"{act.label}({prev.name},{comp.id})",
-                    seed_key=f"merge{merge_index}:{act.tag}:{lmark}{rmark}",
-                    opened=opened,
-                )
-            )
-        state, record, step_notes = _run_step(
-            f"depth {depth}", candidates, data, cfg, winner_name=f"g{depth}"
-        )
+            for lmark, lstate, lopen in lvars:
+                for rmark, rstate, ropen in rvars:
+                    if open_all:
+                        description = f"{act.label}({lname}^{lmark},{rname}^{rmark})"
+                    else:
+                        description = f"{act.label}({lname},{rname})"
+                    candidates.append(
+                        _build_candidate(
+                            lstate,
+                            rstate,
+                            act,
+                            namer,
+                            description=description,
+                            seed_key=f"{m.seed_prefix}:{act.tag}:{lmark}{rmark}",
+                            opened=lopen | ropen,
+                        )
+                    )
+        states[m], record, step_notes = _run_step(m.label, candidates, data, cfg)
         steps.append(record)
         notes.extend(step_notes)
-        chain.append(state)
-    return chain, steps, notes
+        notes.extend(m.notes)
+    return states, steps, notes
+
+
+def _report(
+    algorithm: str,
+    pool: list[Component],
+    final: _State,
+    final_depth: int,
+    pruned_from: int,
+    steps: list[StepRecord],
+    notes: list[str],
+    cfg: ConstructionConfig,
+) -> ConstructionReport:
+    return ConstructionReport(
+        algorithm=algorithm,
+        order=[c.id for c in pool],
+        steps=steps,
+        final=final.net,
+        final_components=final.comps,
+        pruned_from=pruned_from,
+        final_depth=final_depth,
+        final_train_loss=final.train_loss,
+        final_test_loss=final.test_loss,
+        selection_metric=cfg.selection_metric,
+        notes=notes,
+    )
 
 
 # -- public algorithms -----------------------------------------------------
@@ -377,22 +516,39 @@ def _ordered(pool, data, assume_ordered: bool) -> list[Component]:
     return order_components(pool, losses)
 
 
+def _pruned_chain(
+    algorithm: str,
+    pool: list[Component],
+    k0: int,
+    data: Dataset,
+    cfg: ConstructionConfig,
+    allow_large: bool,
+) -> ConstructionReport:
+    """Run the dbcn/bbcn plan under the natural policy, then prune the chain."""
+    merges, names, chain = _chain_plan(pool, k0)
+    states, steps, notes = _execute(
+        pool, merges, names, data, cfg, open_all=False, allow_large=allow_large
+    )
+    metric_values = [states[x].metric(cfg.selection_metric) for x in chain]
+    keep = _prune_index(metric_values, cfg.delta)
+    if keep < len(chain) - 1:
+        notes.append(
+            f"pruned chain from depth {len(chain)} to depth {keep + 1} (delta={cfg.delta})"
+        )
+    return _report(algorithm, pool, states[chain[keep]], keep + 1, len(chain), steps, notes, cfg)
+
+
 def dbcn(
     pool,
     data: Dataset,
     cfg: ConstructionConfig | None = None,
     assume_ordered: bool = False,
+    allow_large: bool = False,
 ) -> ConstructionReport:
     """Greedy deep chain: one component per depth, then delta-pruning."""
     cfg = cfg or ConstructionConfig()
     pool = _ordered(pool, data, assume_ordered)
-    namer = _Namer()
-    initial = _component_state(pool[0], data)
-    initial.name = "g1"
-    chain, steps, notes = _greedy_chain(
-        initial, pool[1:], data, cfg, namer, first_depth=1, merge_start=0
-    )
-    return _finish_chain_report("dbcn", pool, chain, steps, notes, cfg)
+    return _pruned_chain("dbcn", pool, 1, data, cfg, allow_large)
 
 
 def bbcn(
@@ -400,6 +556,7 @@ def bbcn(
     data: Dataset,
     cfg: ConstructionConfig | None = None,
     assume_ordered: bool = False,
+    allow_large: bool = False,
 ) -> ConstructionReport:
     """Balanced pairwise merges of the first k0 (base) components, then
     the greedy chain over the remainder."""
@@ -408,113 +565,12 @@ def bbcn(
     k0 = cfg.k0
     if k0 < 2:
         warnings.warn("k0 < 2: balanced stage degenerates to the greedy chain")
-        report = dbcn(pool, data, cfg, assume_ordered=True)
-        return replace_algorithm(report, "bbcn")
-    if k0 > len(pool):
+        k0 = 1
+    elif k0 > len(pool):
         raise ConstructionError(f"k0 = {k0} exceeds pool size {len(pool)}")
-    bases = pool[:k0]
-    if any(c.role != ROLE_BASE for c in bases):
+    elif any(c.role != ROLE_BASE for c in pool[:k0]):
         raise ConstructionError("first k0 pool entries must be base components")
-
-    namer = _Namer()
-    level = []
-    for t, comp in enumerate(bases, start=1):
-        st = _component_state(comp, data)
-        st.name = f"h0_{t}"
-        level.append(st)
-    steps: list[StepRecord] = []
-    notes: list[str] = []
-    s = 1
-    merge_index = 0
-    while len(level) > 1:
-        nxt: list[_State] = []
-        count = len(level)
-        slots = math.ceil(count / 2)
-        for t in range(slots):
-            if count % 2 == 1 and t == slots - 1:
-                carried = level[2 * t]
-                notes.append(f"h{s}_{t + 1} <- {carried.name} (carried unmerged)")
-                carried = _State(
-                    f"h{s}_{t + 1}",
-                    carried.net,
-                    carried.comps,
-                    carried.train_loss,
-                    carried.test_loss,
-                    carried.fresh,
-                )
-                nxt.append(carried)
-                continue
-            left, right_state = level[2 * t], level[2 * t + 1]
-            lmark = "o" if left.fresh else "x"
-            rmark = "o" if right_state.fresh else "x"
-            candidates = [
-                _build_candidate(
-                    left,
-                    right_state,
-                    act,
-                    namer,
-                    description=f"{act.label}({left.name},{right_state.name})",
-                    seed_key=f"balance{s}:{t}:{act.tag}:{lmark}{rmark}",
-                    opened=left.fresh | right_state.fresh,
-                )
-                for act in cfg.activations
-            ]
-            state, record, step_notes = _run_step(
-                f"balance level {s} slot {t + 1}",
-                candidates,
-                data,
-                cfg,
-                winner_name=f"h{s}_{t + 1}",
-            )
-            steps.append(record)
-            notes.extend(step_notes)
-            nxt.append(state)
-        level = nxt
-        s += 1
-
-    root = level[0]
-    root.name = f"g{k0}"
-    chain, chain_steps, chain_notes = _greedy_chain(
-        root, pool[k0:], data, cfg, namer, first_depth=k0, merge_start=0
-    )
-    steps.extend(chain_steps)
-    notes.extend(chain_notes)
-    return _finish_chain_report("bbcn", pool, chain, steps, notes, cfg)
-
-
-def replace_algorithm(report: ConstructionReport, name: str) -> ConstructionReport:
-    report.algorithm = name
-    return report
-
-
-def _finish_chain_report(
-    algorithm: str,
-    pool: list[Component],
-    chain: list[_State],
-    steps: list[StepRecord],
-    notes: list[str],
-    cfg: ConstructionConfig,
-) -> ConstructionReport:
-    metric_values = [st.metric(cfg.selection_metric) for st in chain]
-    keep = _prune_index(metric_values, cfg.delta)
-    final = chain[keep]
-    if keep < len(chain) - 1:
-        notes.append(
-            f"pruned chain from depth {len(chain)} to depth {keep + 1} (delta={cfg.delta})"
-        )
-    return ConstructionReport(
-        algorithm=algorithm,
-        order=[c.id for c in pool],
-        steps=steps,
-        final=final.net,
-        final_components=final.comps,
-        pruned_from=len(chain),
-        final_depth=keep + 1,
-        final_train_loss=final.train_loss,
-        final_test_loss=final.test_loss,
-        selection_metric=cfg.selection_metric,
-        notes=notes,
-    )
+    return _pruned_chain("bbcn", pool, k0, data, cfg, allow_large)
 
 
 # -- exhaustive search -----------------------------------------------------
@@ -553,21 +609,6 @@ def _schedule_leaves(node) -> list[int]:
     return _schedule_leaves(node[0]) + _schedule_leaves(node[1])
 
 
-def _count_candidates(node, pool, n_act: int) -> int:
-    if isinstance(node, int):
-        return 0
-    total = _count_candidates(node[0], pool, n_act) + _count_candidates(node[1], pool, n_act)
-    lv = _n_variants(node[0], pool)
-    rv = _n_variants(node[1], pool)
-    return total + lv * rv * n_act
-
-
-def _n_variants(node, pool) -> int:
-    if isinstance(node, int):
-        return 1 if any(not f for f in pool[node].frozen) else 2
-    return 2
-
-
 def exhaustive(
     pool,
     data: Dataset,
@@ -584,75 +625,20 @@ def exhaustive(
         schedule = balanced_schedule(len(pool), cfg.k0)
     elif schedule == "chain":
         schedule = chain_schedule(len(pool))
+    elif isinstance(schedule, str):
+        raise ConstructionError(f"unknown schedule {schedule!r}: use balanced, chain or a tree")
     leaves = _schedule_leaves(schedule)
     if sorted(leaves) != list(range(len(pool))):
         raise ConstructionError("schedule must cover every pool index exactly once")
 
-    total_candidates = _count_candidates(schedule, pool, len(cfg.activations))
-    if total_candidates > _CANDIDATE_GUARD and not allow_large:
-        raise ConstructionError(
-            f"{total_candidates} candidates exceed the guard of {_CANDIDATE_GUARD}; "
-            "pass allow_large=True (or --allow-large) to override"
-        )
-
-    namer = _Namer()
-    steps: list[StepRecord] = []
-    notes: list[str] = []
-    counter = {"merge": 0}
-
-    def variants(state: _State, node) -> list[tuple[str, _State, set[str]]]:
-        if isinstance(node, int) and any(not f for f in pool[node].frozen):
-            # a component that is already open only exists in open form
-            return [("o", state, {pool[node].id})]
-        opened_comps = {cid: comp.opened_copy() for cid, comp in state.comps.items()}
-        opened_state = _State(
-            state.name, state.net, opened_comps, state.train_loss, state.test_loss
-        )
-        return [("x", state, set()), ("o", opened_state, set(opened_comps))]
-
-    def build(node) -> _State:
-        if isinstance(node, int):
-            st = _component_state(pool[node], data)
-            st.name = pool[node].id
-            return st
-        left = build(node[0])
-        right = build(node[1])
-        mi = counter["merge"]
-        counter["merge"] += 1
-        candidates = []
-        for act in cfg.activations:
-            for lmark, lstate, lopen in variants(left, node[0]):
-                for rmark, rstate, ropen in variants(right, node[1]):
-                    candidates.append(
-                        _build_candidate(
-                            lstate,
-                            rstate,
-                            act,
-                            namer,
-                            description=f"{act.label}({left.name}^{lmark},{right.name}^{rmark})",
-                            seed_key=f"merge{mi}:{act.tag}:{lmark}{rmark}",
-                            opened=lopen | ropen,
-                        )
-                    )
-        state, record, step_notes = _run_step(
-            f"merge {mi + 1}", candidates, data, cfg, winner_name=f"g{mi + 1}"
-        )
-        steps.append(record)
-        notes.extend(step_notes)
-        return state
-
-    final = build(schedule)
-    depth = counter["merge"] + 1
-    return ConstructionReport(
-        algorithm="exhaustive",
-        order=[c.id for c in pool],
-        steps=steps,
-        final=final.net,
-        final_components=final.comps,
-        pruned_from=depth,
-        final_depth=depth,
-        final_train_loss=final.train_loss,
-        final_test_loss=final.test_loss,
-        selection_metric=cfg.selection_metric,
-        notes=notes,
+    merges = _merges(schedule)
+    names: dict = {i: c.id for i, c in enumerate(pool)}
+    for i, m in enumerate(merges):
+        m.label, m.seed_prefix = f"merge {i + 1}", f"merge{i}"
+        names[m] = f"g{i + 1}"
+    states, steps, notes = _execute(
+        pool, merges, names, data, cfg, open_all=True, allow_large=allow_large
     )
+    depth = len(merges) + 1
+    final = states[merges[-1] if merges else schedule]
+    return _report("exhaustive", pool, final, depth, depth, steps, notes, cfg)

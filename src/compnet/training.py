@@ -76,11 +76,10 @@ class TrainResult:
 
 @dataclass
 class ParamLayout:
-    combine_ids: list[str]
-    blocks: list[tuple[str, int]]  # (component id, layer index)
-    slices: dict  # name -> slice into the flat vector
+    combines: list[tuple[str, int, int]]  # (combine id, start, stop) in the flat vector
+    blocks: list[tuple[str, int, int, int]]  # (component id, layer index, start, stop)
     size: int
-    names: list[str]
+    names: list[str]  # one per combine, then per block; for error messages
 
 
 def parameter_layout(
@@ -89,7 +88,7 @@ def parameter_layout(
     trainable_nodes: set[str] | None = None,
 ) -> ParamLayout:
     combine_ids: list[str] = []
-    blocks: list[tuple[str, int]] = []
+    block_keys: list[tuple[str, int]] = []
     seen_components: set[str] = set()
     for node in net.nodes:
         if isinstance(node, Combine):
@@ -104,34 +103,31 @@ def parameter_layout(
             comp = components[node.component]
             for li, frz in enumerate(comp.frozen):
                 if not frz:
-                    blocks.append((node.component, li))
-    slices = {}
+                    block_keys.append((node.component, li))
+    combines = []
+    blocks = []
     names = []
     offset = 0
     for cid in combine_ids:
         n = net.node(cid).theta.size
-        name = f"combine {cid}.theta"
-        slices[name] = slice(offset, offset + n)
-        names.append(name)
+        combines.append((cid, offset, offset + n))
+        names.append(f"combine {cid}.theta")
         offset += n
-    for comp_id, li in blocks:
+    for comp_id, li in block_keys:
         n = components[comp_id].layers[li].size
-        name = f"component {comp_id} layer {li}"
-        slices[name] = slice(offset, offset + n)
-        names.append(name)
+        blocks.append((comp_id, li, offset, offset + n))
+        names.append(f"component {comp_id} layer {li}")
         offset += n
-    return ParamLayout(combine_ids, blocks, slices, offset, names)
+    return ParamLayout(combines, blocks, offset, names)
 
 
 def get_parameters(net, components, layout: ParamLayout) -> np.ndarray:
     out = np.empty(layout.size)
-    for cid in layout.combine_ids:
-        s = layout.slices[f"combine {cid}.theta"]
-        out[s] = net.node(cid).theta
-    for comp_id, li in layout.blocks:
-        s = layout.slices[f"component {comp_id} layer {li}"]
+    for cid, start, stop in layout.combines:
+        out[start:stop] = net.node(cid).theta
+    for comp_id, li, start, stop in layout.blocks:
         layer = components[comp_id].layers[li]
-        out[s] = np.concatenate([layer.weights.ravel(), layer.bias])
+        out[start:stop] = np.concatenate([layer.weights.ravel(), layer.bias])
     return out
 
 
@@ -139,15 +135,13 @@ def set_parameters(net, components, layout: ParamLayout, flat: np.ndarray) -> No
     flat = np.asarray(flat, dtype=float)
     if flat.shape != (layout.size,):
         raise GradientError(f"expected flat vector of size {layout.size}")
-    for cid in layout.combine_ids:
-        s = layout.slices[f"combine {cid}.theta"]
-        net.node(cid).theta[:] = flat[s]
-    for comp_id, li in layout.blocks:
-        s = layout.slices[f"component {comp_id} layer {li}"]
+    for cid, start, stop in layout.combines:
+        net.node(cid).theta[:] = flat[start:stop]
+    for comp_id, li, start, stop in layout.blocks:
         layer = components[comp_id].layers[li]
-        w = layer.weights.size
-        layer.weights[...] = flat[s][:w].reshape(layer.weights.shape)
-        layer.bias[...] = flat[s][w:]
+        mid = start + layer.weights.size  # weights, then bias
+        layer.weights[...] = flat[start:mid].reshape(layer.weights.shape)
+        layer.bias[...] = flat[mid:stop]
 
 
 def _forward_with_traces(net, components, inputs):
@@ -197,8 +191,9 @@ def gradients(
         raise GradientError(f"prediction shape {pred.shape} != label shape {labels.shape}")
 
     flat = np.zeros(layout.size)
-    block_set = set(layout.blocks)
-    combine_set = set(layout.combine_ids)
+    combine_spans = {cid: (start, stop) for cid, start, stop in layout.combines}
+    block_spans = {(cid, li): (start, stop) for cid, li, start, stop in layout.blocks}
+    open_components = {cid for cid, *_ in layout.blocks}
     adjoint: dict[str, np.ndarray] = {net.root: 2.0 * (pred - labels) / batch}
 
     for node in reversed(net.nodes):
@@ -206,9 +201,9 @@ def gradients(
         if a is None:
             continue
         if isinstance(node, Combine):
-            if node.id in combine_set:
-                s = layout.slices[f"combine {node.id}.theta"]
-                g = flat[s]
+            if node.id in combine_spans:
+                start, stop = combine_spans[node.id]
+                g = flat[start:stop]
                 g[0] += a.sum()
                 for j, child in enumerate(node.children):
                     g[j + 1] += float((a * values[child]).sum())
@@ -223,23 +218,25 @@ def gradients(
             _accumulate(adjoint, node.child, a * deriv)
         else:  # ComponentRef
             comp = components[node.component]
-            if not any(b[0] == node.component for b in layout.blocks):
+            if node.component not in open_components:
                 continue
             d = a
             for li in range(len(comp.layers) - 1, -1, -1):
                 layer = comp.layers[li]
                 xin, pre = traces[node.id][li]
                 dpre = d * layer.activation.derivative(pre)
-                if (node.component, li) in block_set:
-                    s = layout.slices[f"component {node.component} layer {li}"]
-                    wsize = layer.weights.size
-                    flat[s][:wsize] += (xin.T @ dpre).ravel()
-                    flat[s][wsize:] += dpre.sum(axis=0)
+                span = block_spans.get((node.component, li))
+                if span is not None:
+                    start, stop = span
+                    mid = start + layer.weights.size
+                    flat[start:mid] += (xin.T @ dpre).ravel()
+                    flat[mid:stop] += dpre.sum(axis=0)
                 if li > 0:
                     d = dpre @ layer.weights.T
 
     if not np.all(np.isfinite(flat)):
-        bad = [name for name in layout.names if not np.all(np.isfinite(flat[layout.slices[name]]))]
+        spans = [entry[-2:] for entry in layout.combines + layout.blocks]
+        bad = [n for n, (i, j) in zip(layout.names, spans) if not np.all(np.isfinite(flat[i:j]))]
         raise GradientError(f"non-finite gradient entries at: {', '.join(bad)}")
     return flat
 

@@ -48,7 +48,7 @@ class TestHelp:
         for name, flags in {
             "synth": ["--seed", "--n", "--k", "--out"],
             "solve-linear": ["--data", "--ridge"],
-            "compose": ["--pool", "--data", "--delta", "--activations", "--seed", "--report", "--jobs"],
+            "compose": ["--pool", "--data", "--delta", "--activations", "--seed", "--report"],
             "verify": ["--n", "--k", "--trials", "--seed", "--h"],
             "impute": ["--grid", "--k", "--out"],
         }.items():
@@ -122,19 +122,44 @@ class TestCompose:
         assert replay_manifest(str(rep1) + ".manifest.json", rep2) == 0
         assert rep1.read_bytes() == rep2.read_bytes()
 
-    def test_jobs_do_not_change_numerics(self, bundle, tmp_path):
-        reps = []
-        for jobs, name in ((1, "j1.json"), (4, "j4.json")):
-            rep = tmp_path / name
-            code = main(
-                ["compose", "dbcn", "--pool", str(bundle / "components.json"),
-                 "--data", str(bundle / "data.csv"), "--seed", "2",
-                 "--epochs", "25", "--patience", "10", "--jobs", str(jobs),
-                 "--report", str(rep)]
-            )
-            assert code == 0
-            reps.append(rep.read_bytes())
-        assert reps[0] == reps[1]
+    def test_unknown_schedule_is_usage_error(self, bundle, capsys):
+        code = main(
+            ["compose", "exhaustive", "--pool", str(bundle / "components.json"),
+             "--data", str(bundle / "data.csv"), "--schedule", "foo"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--schedule" in err and "foo" in err
+
+    @pytest.mark.parametrize("mode", ["dbcn", "bbcn"])
+    def test_schedule_outside_exhaustive_is_usage_error(self, bundle, capsys, mode):
+        code = main(
+            ["compose", mode, "--pool", str(bundle / "components.json"),
+             "--data", str(bundle / "data.csv"), "--schedule", "chain"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--schedule" in err and mode in err
+
+    def test_history_csv_per_candidate(self, bundle, tmp_path):
+        rep, hist = tmp_path / "ex.json", tmp_path / "hist"
+        code = main(
+            ["compose", "exhaustive", "--pool", str(bundle / "components.json"),
+             "--data", str(bundle / "data.csv"), "--seed", "3", "--epochs", "15",
+             "--patience", "5", "--history", str(hist), "--report", str(rep)]
+        )
+        assert code == 0
+        steps = json.loads(rep.read_text())["steps"]
+        expected = {
+            f"step{j}-cand{i}.csv": cand["train_loss"]
+            for j, step in enumerate(steps, start=1)
+            for i, cand in enumerate(step["candidates"], start=1)
+        }
+        assert sorted(p.name for p in hist.iterdir()) == sorted(expected)
+        for name, train_loss in expected.items():
+            lines = (hist / name).read_text().splitlines()
+            assert lines[0] == "epoch,train_loss,test_loss"
+            assert float(lines[-1].split(",")[1]) == train_loss
 
 
 class TestVerifyCli:

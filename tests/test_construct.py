@@ -242,25 +242,35 @@ class TestExhaustive:
         best_chain = min(c.train_loss for c in chain_step.candidates)
         assert best_full <= best_chain
 
-    def test_candidate_guard(self, task):
-        data, comps = task
-        many = []
-        rng = np.random.default_rng(0)
-        for i in range(13):
-            many.append(cn.Component.mlp(f"c{i}", [5, 1], rng))
-        with pytest.raises(cn.ConstructionError, match="guard"):
-            cn.exhaustive(
-                many,
-                data,
-                _fast_cfg(activations=tuple([cn.LINEAR] * 86)),
-                schedule="chain",
-                assume_ordered=True,
-            )
-
     def test_schedule_must_cover_pool(self, task):
         data, comps = task
         with pytest.raises(cn.ConstructionError, match="schedule"):
             cn.exhaustive(comps[:3], data, _fast_cfg(), schedule=(0, 1))
+
+
+class TestCandidateGuard:
+    @pytest.mark.parametrize(
+        "build", [cn.dbcn, cn.bbcn, cn.exhaustive], ids=["dbcn", "bbcn", "exhaustive"]
+    )
+    def test_candidate_guard(self, task, monkeypatch, build):
+        data, _ = task
+        rng = np.random.default_rng(0)
+        many = [cn.Component.mlp(f"c{i}", [5, 1], rng) for i in range(13)]
+        # 12 merges x 342 activations = 4104 candidates with one variant per
+        # operand (dbcn, bbcn); exhaustive has four variant pairs per merge
+        cfg = _fast_cfg(activations=tuple([cn.LINEAR] * 342))
+
+        class Trained(Exception):
+            pass
+
+        def refuse_training(*args, **kwargs):
+            raise Trained
+
+        monkeypatch.setattr("compnet.construct.train", refuse_training)
+        with pytest.raises(cn.ConstructionError, match="guard"):
+            build(many, data, cfg, assume_ordered=True)
+        with pytest.raises(Trained):
+            build(many, data, cfg, assume_ordered=True, allow_large=True)
 
 
 class TestSchedules:
