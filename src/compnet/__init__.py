@@ -85,6 +85,7 @@ from .model import (
     count_parameters,
     evaluate,
     loss_l2,
+    node_values,
     registry,
     residual_loss,
     single_component_network,

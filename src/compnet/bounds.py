@@ -30,6 +30,7 @@ from .linear import (
     component_losses,
     solve_theta_star,
 )
+from .model import residual_loss
 from .scaled import apply_wrapper, construct_wrapper
 
 STRICT_SLACK = 1e-12
@@ -201,9 +202,8 @@ def verify_strict_improvement(spec: TrialSpec) -> BoundReport:
                 break
             except SingularGramError:
                 budget[0] -= 1
-        pred = theta[0] + (cols @ theta[1:] if k else 0.0)
-        e_g = float(np.sum((pred - y) ** 2) / n)
-        baseline = float(np.sum((1.0 - y) ** 2) / n)  # the bias column alone
+        e_g = residual_loss(theta[0] + cols @ theta[1:], y)
+        baseline = residual_loss(np.ones(n), y)  # the bias column alone
         if k:
             baseline = min(baseline, float(np.min(component_losses(cols, y))))
         if e_g < baseline - STRICT_SLACK:
@@ -233,7 +233,7 @@ def verify_add_width(spec: TrialSpec) -> BoundReport:
         gram = np.array([[f0 @ f0, f0 @ f1], [f0 @ f1, f1 @ f1]])
         rhs = np.array([f0 @ y, f1 @ y])
         alpha = np.linalg.solve(gram, rhs)
-        e = float(np.sum((alpha[0] * f0 + alpha[1] * f1 - y) ** 2) / n)
+        e = residual_loss(alpha[0] * f0 + alpha[1] * f1, y)
         best = float(np.min(component_losses(cols, y)))
         if e < best - STRICT_SLACK:
             successes += 1
@@ -269,7 +269,7 @@ def verify_depth_compounding(
     for _ in range(spec.trials):
         y, cols = _draw_instance(rng, n, k, spec.component_noise, budget)
         all_losses = component_losses(cols, y)
-        bias_loss = float(np.sum((1.0 - y) ** 2) / n)
+        bias_loss = residual_loss(np.ones(n), y)
         overall_best = min(bias_loss, float(np.min(all_losses)))
         prev_pred = None
         prev_loss = None
@@ -289,7 +289,7 @@ def verify_depth_compounding(
                 ok = False
                 break
             lin_pred = theta[0] + layer_cols @ theta[1:]
-            lin_loss = float(np.sum((lin_pred - y) ** 2) / n)
+            lin_loss = residual_loss(lin_pred, y)
             margin = reference - lin_loss
             if margin <= STRICT_SLACK:
                 ok = False
@@ -301,7 +301,7 @@ def verify_depth_compounding(
                 break
             wrapper = construct_wrapper(lin_pred, activation, eps)
             g_pred = np.asarray(apply_wrapper(wrapper, lin_pred))
-            g_loss = float(np.sum((g_pred - y) ** 2) / n)
+            g_loss = residual_loss(g_pred, y)
             if not g_loss < reference:
                 ok = False
                 break

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .model import residual_loss
+
 A1_RELATIVE_TOL = 1e-10
 _GRAM_COND_TOL = 1e-14
 
@@ -114,11 +116,8 @@ def combination_loss(theta: np.ndarray, component_outputs, labels) -> float:
     labels = np.asarray(labels, dtype=float).ravel()
     cols = _as_columns(component_outputs)
     if cols.size == 0:
-        pred = np.full(labels.size, np.asarray(theta, dtype=float)[0])
-    else:
-        pred = predict(theta, cols)
-    d = pred - labels
-    return float(d @ d / labels.size)
+        cols = np.empty((labels.size, 0))
+    return residual_loss(predict(theta, cols), labels)
 
 
 def component_losses(component_outputs, labels) -> np.ndarray:

@@ -118,21 +118,16 @@ class Component:
             )
         return sel
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, trace: list | None = None) -> np.ndarray:
+        """Forward pass; ``trace`` (optional, output) receives one
+        (input, pre-activation) pair per layer, for backprop."""
         h = self.select_input(x)
-        for layer in self.layers:
-            h = layer.activation.value(h @ layer.weights + layer.bias)
-        return h
-
-    def forward_trace(self, x: np.ndarray):
-        """Forward pass keeping per-layer inputs and pre-activations for backprop."""
-        h = self.select_input(x)
-        trace = []
         for layer in self.layers:
             pre = h @ layer.weights + layer.bias
-            trace.append((h, pre))
+            if trace is not None:
+                trace.append((h, pre))
             h = layer.activation.value(pre)
-        return h, trace
+        return h
 
     def parameter_count(self) -> int:
         return sum(layer.size for layer in self.layers)
@@ -353,15 +348,16 @@ def single_component_network(component_id: str, ref_id: str | None = None) -> Co
 # -- evaluation ------------------------------------------------------------
 
 
-def evaluate(
+def node_values(
     net: CompositeNetwork,
     components: dict[str, Component],
     inputs: np.ndarray,
-    node_values: dict[str, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Evaluate the root node on every input row.
+    traces: dict[str, list] | None = None,
+) -> dict[str, np.ndarray]:
+    """Value of every node on every input row, children before parents.
 
-    ``node_values`` (optional, output) collects per-node results.
+    ``traces`` (optional, output) maps each component-reference node id
+    to its per-layer trace (see ``Component.forward``).
     """
     inputs = np.asarray(inputs, dtype=float)
     values: dict[str, np.ndarray] = {}
@@ -370,22 +366,35 @@ def evaluate(
             comp = components.get(node.component)
             if comp is None:
                 raise EvaluationError(f"unresolved component {node.component!r}", node.id)
-            v = comp.forward(inputs)
+            trace = None if traces is None else traces.setdefault(node.id, [])
+            v = comp.forward(inputs, trace)
         elif isinstance(node, Combine):
             v = np.full((inputs.shape[0], 1), node.theta[0])
             for w, child in zip(node.theta[1:], node.children):
-                cv = values[child]
                 try:
-                    v = v + w * cv
+                    v = v + w * values[child]
                 except ValueError as exc:
                     raise EvaluationError(f"child widths do not broadcast: {exc}", node.id)
         else:
             v = node.activation.value(values[node.child])
-        if not np.all(np.isfinite(v)):
-            raise EvaluationError("non-finite value produced", node.id)
         values[node.id] = v
-    if node_values is not None:
-        node_values.update(values)
+    return values
+
+
+def evaluate(
+    net: CompositeNetwork,
+    components: dict[str, Component],
+    inputs: np.ndarray,
+) -> np.ndarray:
+    """Evaluate the root node on every input row.
+
+    Every node is checked, not just the root, so a non-finite value that a
+    saturating activation hides is still reported at the node that made it.
+    """
+    values = node_values(net, components, inputs)
+    for node in net.nodes:
+        if not np.all(np.isfinite(values[node.id])):
+            raise EvaluationError("non-finite value produced", node.id)
     return values[net.root]
 
 
@@ -444,6 +453,7 @@ def loss_l2(
 
 
 def residual_loss(pred: np.ndarray, labels: np.ndarray) -> float:
+    """Mean over rows of the squared residual norm: the package's one scalar loss."""
     pred = np.asarray(pred, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if labels.ndim == 1:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import Activation, SL  # noqa: F401  (SL preset re-exported)
+from .model import residual_loss
 
 _SUPREMUM_SAMPLES = 100_000
 _supremum_cache: dict[tuple, float] = {}
@@ -200,10 +201,9 @@ def verify_margin(
     y = np.asarray(labels, dtype=float).ravel()
     if g.shape != y.shape:
         raise ScaledActivationError("combiner outputs and labels must align")
-    resid = g - y
-    m2 = float(np.max(np.abs(resid)))
+    m2 = float(np.max(np.abs(g - y)))
     if g_star_loss is None:
-        g_star_loss = float(resid @ resid / y.size)
+        g_star_loss = residual_loss(g, y)
     if not g_star_loss < best_component_loss:
         return MarginReport(
             ok=False,

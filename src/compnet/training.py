@@ -21,6 +21,7 @@ from .model import (
     Dataset,
     EvaluationError,
     loss_l2,
+    node_values,
 )
 
 
@@ -32,28 +33,30 @@ class GradientError(RuntimeError):
     pass
 
 
+class NonFiniteGradientError(GradientError):
+    pass
+
+
+MOMENTUM = 0.9
+
+
 @dataclass
 class TrainConfig:
+    """SGD with momentum ``MOMENTUM`` and a cosine-decayed learning rate."""
+
     learning_rate: float = 1e-2
     batch_size: int = 32
     max_epochs: int = 500
     seed: int = 0
     early_stop_patience: int = 50
-    grad_clip: float | None = None
-    momentum: float = 0.9
-    lr_schedule: str = "cosine"  # or "constant"
 
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be non-negative")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be positive")
-        if self.lr_schedule not in ("cosine", "constant"):
-            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
 
     def lr_at(self, epoch: int) -> float:
-        if self.lr_schedule == "constant":
-            return self.learning_rate
         return 0.5 * self.learning_rate * (1.0 + np.cos(np.pi * epoch / self.max_epochs))
 
 
@@ -144,24 +147,6 @@ def set_parameters(net, components, layout: ParamLayout, flat: np.ndarray) -> No
         layer.bias[...] = flat[mid:stop]
 
 
-def _forward_with_traces(net, components, inputs):
-    values = {}
-    traces = {}
-    for node in net.nodes:
-        if isinstance(node, ComponentRef):
-            comp = components[node.component]
-            v, tr = comp.forward_trace(inputs)
-            traces[node.id] = tr
-        elif isinstance(node, Combine):
-            v = np.full((inputs.shape[0], 1), node.theta[0])
-            for w, child in zip(node.theta[1:], node.children):
-                v = v + w * values[child]
-        else:
-            v = node.activation.value(values[node.child])
-        values[node.id] = v
-    return values, traces
-
-
 def gradients(
     net: CompositeNetwork,
     components: dict[str, Component],
@@ -185,7 +170,8 @@ def gradients(
     if batch == 0:
         raise GradientError("empty batch")
 
-    values, traces = _forward_with_traces(net, components, inputs)
+    traces: dict[str, list] = {}
+    values = node_values(net, components, inputs, traces)
     pred = values[net.root]
     if pred.shape != labels.shape:
         raise GradientError(f"prediction shape {pred.shape} != label shape {labels.shape}")
@@ -237,7 +223,7 @@ def gradients(
     if not np.all(np.isfinite(flat)):
         spans = [entry[-2:] for entry in layout.combines + layout.blocks]
         bad = [n for n, (i, j) in zip(layout.names, spans) if not np.all(np.isfinite(flat[i:j]))]
-        raise GradientError(f"non-finite gradient entries at: {', '.join(bad)}")
+        raise NonFiniteGradientError(f"non-finite gradient entries at: {', '.join(bad)}")
     return flat
 
 
@@ -288,16 +274,13 @@ def train(
         perm = rng.permutation(n_train)
         for start in range(0, n_train, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            grad = gradients(net, components, x_train[idx], y_train[idx], layout=layout)
-            if cfg.grad_clip is not None:
-                norm = float(np.linalg.norm(grad))
-                if norm > cfg.grad_clip:
-                    grad = grad * (cfg.grad_clip / norm)
-            velocity = cfg.momentum * velocity - lr * grad
-            if lr != 0.0 or cfg.momentum != 0.0:
-                set_parameters(
-                    net, components, layout, get_parameters(net, components, layout) + velocity
-                )
+            try:
+                grad = gradients(net, components, x_train[idx], y_train[idx], layout=layout)
+            except NonFiniteGradientError as exc:
+                raise TrainingError(f"diverged at epoch {epoch}: {exc}") from exc
+            velocity = MOMENTUM * velocity - lr * grad
+            params = get_parameters(net, components, layout) + velocity
+            set_parameters(net, components, layout, params)
         try:
             train_loss = loss_l2(net, components, data, "train")
             test_loss = (

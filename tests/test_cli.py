@@ -141,6 +141,21 @@ class TestCompose:
         err = capsys.readouterr().err
         assert "--schedule" in err and mode in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_candidates_are_recorded_not_fatal(self, tmp_path, capsys):
+        out = tmp_path / "b7"
+        assert main(["synth", "--seed", "7", "--out", str(out)]) == 0
+        rep = tmp_path / "div.json"
+        code = main(
+            ["compose", "dbcn", "--pool", str(out / "components.json"),
+             "--data", str(out / "data.csv"), "--lr", "1e30", "--epochs", "20",
+             "--patience", "5", "--report", str(rep)]
+        )
+        assert code == 0
+        notes = json.loads(rep.read_text())["notes"]
+        diverged = [n for n in notes if "failed training: diverged" in n]
+        assert any("non-finite gradient" in n for n in diverged)
+
     def test_history_csv_per_candidate(self, bundle, tmp_path):
         rep, hist = tmp_path / "ex.json", tmp_path / "hist"
         code = main(

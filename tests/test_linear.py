@@ -127,6 +127,16 @@ class TestSolverProperties:
             )
             assert cn.combination_loss(theta, cols, y) <= best + 1e-9
 
+    def test_combination_loss_is_residual_loss_of_prediction(self):
+        r = np.random.default_rng(7)
+        for k in [0] + [3] * 200:
+            y = r.normal(size=400)
+            cols = y[:, None] + 0.5 * r.normal(size=(400, k))
+            theta = r.normal(size=k + 1)
+            assert cn.combination_loss(theta, cols, y) == cn.residual_loss(
+                cn.predict(theta, cols), y
+            )
+
     def test_matches_iterative_descent_oracle(self):
         for seed in range(5):
             r = np.random.default_rng(100 + seed)

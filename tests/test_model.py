@@ -41,6 +41,19 @@ class TestComponent:
         assert comp.parameter_count() == 19
         assert comp.trainable_parameter_count() == 0
 
+    def test_trace_keeps_bits_and_records_every_layer(self, trio, rng):
+        comp = trio["f1"]
+        x = rng.normal(size=(6, 4))
+        trace = []
+        out = comp.forward(x, trace)
+        np.testing.assert_array_equal(out, comp.forward(x))
+        assert len(trace) == len(comp.layers)
+        h = x
+        for (xin, pre), layer in zip(trace, comp.layers):
+            np.testing.assert_array_equal(xin, h)
+            np.testing.assert_array_equal(pre, h @ layer.weights + layer.bias)
+            h = layer.activation.value(pre)
+
     def test_input_columns_mask(self, rng):
         comp = cn.Component.mlp("c", [2, 1], rng, input_columns=[3, 1])
         x = rng.normal(size=(6, 5))
@@ -107,6 +120,26 @@ class TestEvaluate:
         net = cn.CompositeNetwork(nodes, "boom")
         with pytest.raises(cn.EvaluationError) as err:
             cn.evaluate(net, {"ident": ident}, np.array([[2.0]]))
+        assert err.value.node_id == "boom"
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_nonfinite_masked_by_saturating_root_still_reported(self):
+        ident = cn.Component(
+            "ident",
+            cn.KIND_PRETRAINED,
+            cn.ROLE_BASE,
+            [cn.AffineLayer(np.array([[1.0]]), np.zeros(1), cn.LINEAR)],
+        )
+        nodes = [
+            cn.ComponentRef("r", "ident"),
+            cn.Combine("boom", ["r", "r"], np.array([0.0, 1e308, 1e308])),
+            cn.Activate("squash", "boom", cn.TANH),
+        ]
+        net = cn.CompositeNetwork(nodes, "squash")
+        x = np.array([[2.0]])
+        assert np.all(np.isfinite(cn.node_values(net, {"ident": ident}, x)["squash"]))
+        with pytest.raises(cn.EvaluationError) as err:
+            cn.evaluate(net, {"ident": ident}, x)
         assert err.value.node_id == "boom"
 
     def test_children_must_be_defined_first(self):

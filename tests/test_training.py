@@ -155,8 +155,8 @@ class TestTrain:
     def test_divergence_reports_epoch(self, small_task):
         data, comps = small_task
         net = linear_mix_network(comps)
-        cfg = cn.TrainConfig(learning_rate=1e6, lr_schedule="constant", max_epochs=50, seed=0)
-        with pytest.raises((cn.TrainingError, cn.GradientError), match="epoch|gradient"):
+        cfg = cn.TrainConfig(learning_rate=1e6, max_epochs=50, seed=0)
+        with pytest.raises(cn.TrainingError, match="diverged at epoch"):
             cn.train(net, cn.registry(comps), data, cfg)
 
     def test_batch_size_validated_against_split(self, small_task):
