@@ -1,8 +1,8 @@
 """Activation functions for components and composite nodes.
 
 Each activation knows its value and derivative, and -- where a smooth
-inverse exists around the expansion point -- the inverse map with its
-first two derivatives.  The inverse data is what the scaled-combiner
+inverse exists around the expansion point -- the first two derivatives
+of the inverse map.  The inverse data is what the scaled-combiner
 construction consumes.
 """
 
@@ -103,19 +103,7 @@ class Activation:
             return self.out_range * np.tanh(delta / (2.0 * self.scale))
         return np.maximum(delta, 0.0)
 
-    # Inverse map tau around the expansion point, with derivatives.
-
-    def inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        if self.tag == "linear":
-            return y
-        if self.tag == "logistic":
-            return np.log(y / (1.0 - y))
-        if self.tag == "tanh":
-            return np.arctanh(y)
-        if self.tag == "scaled-logistic":
-            return 2.0 * self.scale * np.arctanh(y / self.out_range)
-        raise ActivationError("relu has no smooth inverse")
+    # Derivatives of the inverse map tau around the expansion point.
 
     def inverse_d1(self, y):
         y = np.asarray(y, dtype=float)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .activations import Activation, LOGISTIC
 from .linear import (
+    GramSystem,
     SingularGramError,
     build_gram,
     check_assumptions,
@@ -225,15 +226,14 @@ def verify_add_width(spec: TrialSpec) -> BoundReport:
     for _ in range(spec.trials):
         while True:
             y, cols = _draw_instance(rng, n, 2, spec.component_noise, budget)
-            sv = np.linalg.svd(cols, compute_uv=False)
-            if sv[-1] / sv[0] > 1e-10:
+            # bias-free: k = 1 sizes the 2x2 system over the two columns alone
+            system = GramSystem(cols.T @ cols, cols.T @ y, k=1, n=n)
+            try:
+                alpha = solve_theta_star(system)
                 break
-            budget[0] -= 1
-        f0, f1 = cols[:, 0], cols[:, 1]
-        gram = np.array([[f0 @ f0, f0 @ f1], [f0 @ f1, f1 @ f1]])
-        rhs = np.array([f0 @ y, f1 @ y])
-        alpha = np.linalg.solve(gram, rhs)
-        e = residual_loss(alpha[0] * f0 + alpha[1] * f1, y)
+            except SingularGramError:
+                budget[0] -= 1
+        e = residual_loss(cols @ alpha, y)
         best = float(np.min(component_losses(cols, y)))
         if e < best - STRICT_SLACK:
             successes += 1

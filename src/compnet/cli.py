@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .activations import LOGISTIC, parse_activation
+from .activations import parse_activation
 from .bounds import (
     TrialSpec,
     verify_add_width,
@@ -31,7 +31,7 @@ from .bounds import (
     verify_orthogonality,
     verify_strict_improvement,
 )
-from .construct import ConstructionConfig, bbcn, dbcn, exhaustive
+from .construct import ConstructionConfig, bbcn, component_loss, dbcn, exhaustive
 from .data import (
     SyntheticTaskSpec,
     generate_synthetic,
@@ -49,7 +49,7 @@ from .linear import (
     component_losses,
     solve_theta_star,
 )
-from .model import Component, count_parameters, loss_l2, registry, single_component_network
+from .model import Component
 from .scaled import apply_wrapper, construct_wrapper
 from .training import TrainConfig, history_csv
 
@@ -85,7 +85,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("solve-linear", help="closed-form optimal combination of component outputs")
-    p.add_argument("--data", required=True, help="CSV with columns f1..fK and y")
+    p.add_argument(
+        "--data", required=True, help="CSV with a y column; every other column is a component output"
+    )
     p.add_argument("--ridge", type=float, default=0.0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_solve_linear)
@@ -233,10 +235,7 @@ def _cmd_synth(args):
     write_report(bundle, out / "components.json")
     save_task_spec(spec, out / "task.spec")
 
-    losses = {}
-    for comp in comps:
-        net = single_component_network(comp.id)
-        losses[comp.id] = loss_l2(net, {comp.id: comp}, dataset, "train")
+    losses = {comp.id: component_loss(comp, dataset, "train") for comp in comps}
     print(f"wrote {out / 'data.csv'}, {out / 'components.json'}, {out / 'task.spec'}")
     for cid, lv in losses.items():
         print(f"  {cid}: train RMSE {np.sqrt(lv):.6f}")
@@ -257,9 +256,12 @@ def _cmd_synth(args):
 
 
 def _cmd_solve_linear(args):
-    names, columns, y = _read_component_csv(args.data)
-    system = build_gram(columns, y)
-    theta = solve_theta_star(system, ridge=args.ridge)
+    with open(args.data, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), [])
+    names = [h for h in header if h != "y"]
+    dataset = load_csv(args.data, names, ["y"])
+    columns, y = dataset.inputs, dataset.labels[:, 0]
+    theta = solve_theta_star(build_gram(columns, y), ridge=args.ridge)
     per = component_losses(columns, y)
     comp_loss = combination_loss(theta, columns, y)
     report = check_assumptions(columns, y)
@@ -284,23 +286,6 @@ def _cmd_solve_linear(args):
         "ridge": args.ridge,
     }
     return payload, [args.data]
-
-
-def _read_component_csv(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise UsageError(f"{path}: empty file")
-        if "y" not in header:
-            raise UsageError(f"{path}: needs a 'y' column")
-        names = [h for h in header if h != "y"]
-        rows = [row for row in reader if row]
-    data = np.array([[float(v) for v in row] for row in rows], dtype=float)
-    yi = header.index("y")
-    y = data[:, yi]
-    cols = data[:, [header.index(n) for n in names]]
-    return names, cols, y
 
 
 def _cmd_compose(args):

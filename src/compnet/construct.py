@@ -27,9 +27,11 @@ which search produced it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import warnings
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,7 +41,6 @@ from .model import (
     Activate,
     Combine,
     Component,
-    ComponentRef,
     CompositeNetwork,
     Dataset,
     KIND_PRETRAINED,
@@ -147,14 +148,9 @@ class ConstructionReport:
 # -- ordering --------------------------------------------------------------
 
 
-def order_components(pool, per_component_loss) -> list[Component]:
+def order_components(pool, losses: dict[str, float]) -> list[Component]:
     """Stable sort: pre-trained first, then base before auxiliary, then
     ascending loss; entries without a loss sort last within their group."""
-    pool = list(pool)
-    if isinstance(per_component_loss, dict):
-        losses = per_component_loss
-    else:
-        losses = {c.id: v for c, v in zip(pool, per_component_loss)}
 
     def key(comp: Component):
         loss = losses.get(comp.id)
@@ -187,11 +183,9 @@ class _State:
 
 
 def _component_state(comp: Component, data: Dataset) -> _State:
-    net = single_component_network(comp.id)
-    comps = {comp.id: comp}
-    tr = loss_l2(net, comps, data, "train")
-    te = loss_l2(net, comps, data, "test") if data.test_idx.size else float("nan")
-    return _State(net, comps, tr, te)
+    tr = component_loss(comp, data, "train")
+    te = component_loss(comp, data, "test") if data.test_idx.size else float("nan")
+    return _State(single_component_network(comp.id), {comp.id: comp}, tr, te)
 
 
 def _derive_seed(base: int, key: str) -> int:
@@ -199,85 +193,48 @@ def _derive_seed(base: int, key: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class _Namer:
-    def __init__(self):
-        self.count = 0
-
-    def next(self, prefix: str) -> str:
-        self.count += 1
-        return f"{prefix}:{self.count}"
-
-
-@dataclass
-class _Candidate:
-    description: str
-    seed_key: str
-    net: CompositeNetwork
-    comps: dict[str, Component]
-    trainable: set[str]
-
-
-def _build_candidate(
+def _fit(
     left: _State,
     right: _State,
     activation: Activation,
-    namer: _Namer,
+    ids: Iterator[int],
     description: str,
     seed_key: str,
     opened: set[str],
-) -> _Candidate:
-    nodes = list(left.net.nodes) + list(right.net.nodes)
-    comps = {**left.comps, **right.comps}
-    k = 2
-    mix = Combine(namer.next("mix"), [left.net.root, right.net.root], np.array([0.0, 1.0 / k, 1.0 / k]))
-    nodes.append(mix)
-    root = mix.id
-    if activation.tag != "linear":
-        act = Activate(namer.next("act"), mix.id, activation)
-        nodes.append(act)
-        root = act.id
-    net = CompositeNetwork(nodes, root)
-    # the new mixing weights always train; component blocks only when opened now
-    trainable = {mix.id}
-    for ref in net.ref_nodes():
-        if ref.component in opened:
-            trainable.add(ref.id)
-    return _Candidate(description, seed_key, net, comps, trainable)
-
-
-def _train_candidate(cand: _Candidate, data: Dataset, cfg: ConstructionConfig):
-    tcfg = replace(cfg.train_cfg, seed=_derive_seed(cfg.train_cfg.seed, cand.seed_key))
-    layout = parameter_layout(cand.net, cand.comps, cand.trainable)
-    try:
-        result = train(cand.net, cand.comps, data, tcfg, trainable_nodes=cand.trainable)
-    except TrainingError as exc:
-        return None, CandidateRecord(
-            cand.description,
-            float("inf"),
-            float("inf"),
-            layout.size,
-            count_parameters(cand.net, cand.comps)["total"],
-        ), str(exc)
-    last = result.history[-1]
-    record = CandidateRecord(
-        cand.description,
-        last.train_loss,
-        last.test_loss,
-        layout.size,
-        count_parameters(result.net, result.components)["total"],
-        result.history,
-    )
-    state = _State(result.net, result.components, last.train_loss, last.test_loss)
-    return state, record, None
-
-
-def _run_step(
-    label: str,
-    candidates: list[_Candidate],
     data: Dataset,
     cfg: ConstructionConfig,
+) -> tuple[_State | None, CandidateRecord, str | None]:
+    """Build the candidate activation(mix(left, right)) and train its new
+    mixing weights plus the blocks of the ``opened`` components.  Returns
+    the trained state, the candidate record and the training error (the
+    state is None when training failed)."""
+    mix = Combine(f"mix:{next(ids)}", [left.net.root, right.net.root], np.array([0.0, 0.5, 0.5]))
+    nodes = [*left.net.nodes, *right.net.nodes, mix]
+    if activation.tag != "linear":
+        nodes.append(Activate(f"act:{next(ids)}", mix.id, activation))
+    net = CompositeNetwork(nodes, nodes[-1].id)
+    comps = {**left.comps, **right.comps}
+    trainable = {mix.id} | {ref.id for ref in net.ref_nodes() if ref.component in opened}
+    size = parameter_layout(net, comps, trainable).size
+    tcfg = replace(cfg.train_cfg, seed=_derive_seed(cfg.train_cfg.seed, seed_key))
+    try:
+        result = train(net, comps, data, tcfg, trainable_nodes=trainable)
+    except TrainingError as exc:
+        total = count_parameters(net, comps)["total"]
+        return None, CandidateRecord(description, math.inf, math.inf, size, total), str(exc)
+    last = result.history[-1]
+    total = count_parameters(result.net, result.components)["total"]
+    record = CandidateRecord(
+        description, last.train_loss, last.test_loss, size, total, result.history
+    )
+    return _State(result.net, result.components, last.train_loss, last.test_loss), record, None
+
+
+def _select(
+    label: str, outcomes: list, cfg: ConstructionConfig
 ) -> tuple[_State, StepRecord, list[str]]:
-    outcomes = [_train_candidate(c, data, cfg) for c in candidates]
+    """The winning state of one merge, its step record and the notes on
+    failed candidates."""
     records = [rec for _, rec, _ in outcomes]
     notes = [
         f"{label}: candidate {rec.description} failed training: {err}"
@@ -337,18 +294,25 @@ def _level(operand) -> int:
     return 0 if isinstance(operand, int) else operand.level
 
 
-def _merges(tree) -> list[_Merge]:
-    """The merges of a schedule tree in postorder."""
+def _merges(tree, count: int) -> list[_Merge]:
+    """The merges of a schedule tree in postorder; the tree's leaves must
+    be the pool indices 0..count-1, each exactly once."""
     merges: list[_Merge] = []
+    seen: set[int] = set()
 
     def visit(node):
         if isinstance(node, int):
+            if node in seen or not 0 <= node < count:
+                raise ConstructionError("schedule must cover every pool index exactly once")
+            seen.add(node)
             return node
         left, right = visit(node[0]), visit(node[1])
         merges.append(_Merge(left, right, 1 + max(_level(left), _level(right))))
         return merges[-1]
 
     visit(tree)
+    if len(seen) != count:
+        raise ConstructionError("schedule must cover every pool index exactly once")
     return merges
 
 
@@ -362,7 +326,7 @@ def _chain_plan(pool: list[Component], k0: int) -> tuple[list[_Merge], dict, lis
     is 'depth d' with winner g{d}.  k0 = 1 is dbcn's chain.  Also returns
     the chain [g{k0}, g{k0+1}, ...] that pruning walks.
     """
-    merges = _merges(balanced_schedule(len(pool), k0))
+    merges = _merges(balanced_schedule(len(pool), k0), len(pool))
     balanced = sorted(merges[: k0 - 1], key=lambda m: m.level)
     chain = merges[k0 - 1 :]
     names: dict = {i: (f"h0_{i + 1}" if i < k0 else c.id) for i, c in enumerate(pool)}
@@ -444,13 +408,13 @@ def _execute(
         )
 
     states: dict = {i: _component_state(comp, data) for i, comp in enumerate(pool)}
-    namer = _Namer()
+    ids = itertools.count(1)
     steps: list[StepRecord] = []
     notes: list[str] = []
     for m in merges:
         lname, rname = names[m.left], names[m.right]
         lvars, rvars = variants(m.left), variants(m.right)
-        candidates = []
+        outcomes = []
         for act in cfg.activations:
             for lmark, lstate, lopen in lvars:
                 for rmark, rstate, ropen in rvars:
@@ -458,18 +422,12 @@ def _execute(
                         description = f"{act.label}({lname}^{lmark},{rname}^{rmark})"
                     else:
                         description = f"{act.label}({lname},{rname})"
-                    candidates.append(
-                        _build_candidate(
-                            lstate,
-                            rstate,
-                            act,
-                            namer,
-                            description=description,
-                            seed_key=f"{m.seed_prefix}:{act.tag}:{lmark}{rmark}",
-                            opened=lopen | ropen,
-                        )
+                    seed_key = f"{m.seed_prefix}:{act.tag}:{lmark}{rmark}"
+                    opened = lopen | ropen
+                    outcomes.append(
+                        _fit(lstate, rstate, act, ids, description, seed_key, opened, data, cfg)
                     )
-        states[m], record, step_notes = _run_step(m.label, candidates, data, cfg)
+        states[m], record, step_notes = _select(m.label, outcomes, cfg)
         steps.append(record)
         notes.extend(step_notes)
         notes.extend(m.notes)
@@ -597,16 +555,7 @@ def balanced_schedule(count: int, k0: int):
 
 
 def chain_schedule(count: int):
-    tree = 0
-    for i in range(1, count):
-        tree = (tree, i)
-    return tree
-
-
-def _schedule_leaves(node) -> list[int]:
-    if isinstance(node, int):
-        return [node]
-    return _schedule_leaves(node[0]) + _schedule_leaves(node[1])
+    return balanced_schedule(count, 1)
 
 
 def exhaustive(
@@ -627,11 +576,7 @@ def exhaustive(
         schedule = chain_schedule(len(pool))
     elif isinstance(schedule, str):
         raise ConstructionError(f"unknown schedule {schedule!r}: use balanced, chain or a tree")
-    leaves = _schedule_leaves(schedule)
-    if sorted(leaves) != list(range(len(pool))):
-        raise ConstructionError("schedule must cover every pool index exactly once")
-
-    merges = _merges(schedule)
+    merges = _merges(schedule, len(pool))
     names: dict = {i: c.id for i, c in enumerate(pool)}
     for i, m in enumerate(merges):
         m.label, m.seed_prefix = f"merge {i + 1}", f"merge{i}"

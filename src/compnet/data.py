@@ -330,10 +330,14 @@ def load_csv(path, features: list[str], labels: list[str]) -> Dataset:
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: line {line_no}: {len(row)} cells, header has {len(header)}"
+                )
             try:
                 xs = [float(row[col_idx[c]]) for c in features]
                 ys = [float(row[col_idx[c]]) for c in labels]
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise DataError(f"{path}: line {line_no}: cannot parse row ({exc})") from exc
             if not all(np.isfinite(xs)) or not all(np.isfinite(ys)):
                 bad_rows.append(line_no)

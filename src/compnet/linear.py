@@ -47,31 +47,26 @@ class GramSystem:
     n: int
 
 
-def _as_columns(component_outputs) -> np.ndarray:
-    """Accept an (N, K) array or a sequence of K length-N columns."""
-    if isinstance(component_outputs, np.ndarray) and component_outputs.ndim == 2:
-        cols = np.asarray(component_outputs, dtype=float)
-    else:
-        seq = [np.asarray(c, dtype=float).ravel() for c in component_outputs]
-        if not seq:
-            return np.empty((0, 0))
-        cols = np.column_stack(seq)
-    return cols
-
-
-def build_gram(component_outputs, labels) -> GramSystem:
-    """Assemble the normal-equations system with the bias column prepended."""
+def _columns(component_outputs, labels) -> tuple[np.ndarray, np.ndarray]:
+    """(N, K) float columns and length-N labels, checked for shape and finiteness."""
+    cols = np.asarray(component_outputs, dtype=float)
     labels = np.asarray(labels, dtype=float).ravel()
     n = labels.size
     if n < 1:
         raise SolverError("labels must be non-empty")
-    cols = _as_columns(component_outputs)
-    if cols.size == 0:
-        cols = np.empty((n, 0))
+    if cols.ndim != 2:
+        raise SolverError(f"component outputs must be 2-D (N, K), got {cols.ndim}-D")
     if cols.shape[0] != n:
         raise SolverError(f"column length {cols.shape[0]} != label length {n}")
     if not np.all(np.isfinite(cols)) or not np.all(np.isfinite(labels)):
         raise SolverError("non-finite entries in component outputs or labels")
+    return cols, labels
+
+
+def build_gram(component_outputs, labels) -> GramSystem:
+    """Assemble the normal-equations system with the bias column prepended."""
+    cols, labels = _columns(component_outputs, labels)
+    n = labels.size
     full = np.column_stack([np.ones(n), cols])
     gram = full.T @ full
     # exact value, free of accumulated rounding
@@ -104,30 +99,23 @@ def solve_theta_star(system: GramSystem, ridge: float = 0.0) -> np.ndarray:
 
 
 def predict(theta: np.ndarray, component_outputs) -> np.ndarray:
-    cols = _as_columns(component_outputs)
     theta = np.asarray(theta, dtype=float)
-    if cols.size == 0:
-        n = 0 if cols.shape == (0, 0) else cols.shape[0]
-        return np.full(n, theta[0])
-    return theta[0] + cols @ theta[1:]
+    return theta[0] + np.asarray(component_outputs, dtype=float) @ theta[1:]
 
 
 def combination_loss(theta: np.ndarray, component_outputs, labels) -> float:
-    labels = np.asarray(labels, dtype=float).ravel()
-    cols = _as_columns(component_outputs)
-    if cols.size == 0:
-        cols = np.empty((labels.size, 0))
-    return residual_loss(predict(theta, cols), labels)
+    return residual_loss(predict(theta, component_outputs), labels)
 
 
 def component_losses(component_outputs, labels) -> np.ndarray:
-    """Per-column mean squared error against the labels."""
+    """Per-column mean squared error against the labels.
+
+    Each column is summed along the contiguous axis, as ``residual_loss``
+    sums one column, so the two agree bit for bit.
+    """
     labels = np.asarray(labels, dtype=float).ravel()
-    cols = _as_columns(component_outputs)
-    if cols.size == 0:
-        return np.empty(0)
-    d = cols - labels[:, None]
-    return np.sum(d * d, axis=0) / labels.size
+    d = (np.asarray(component_outputs, dtype=float) - labels[:, None]).T.copy()
+    return np.sum(d * d, axis=1) / labels.size
 
 
 @dataclass
@@ -164,16 +152,8 @@ class AssumptionReport:
 
 def check_assumptions(component_outputs, labels, tol: float = A1_RELATIVE_TOL) -> AssumptionReport:
     """Report on A1/A2/A4; never raises for a violated assumption."""
-    labels = np.asarray(labels, dtype=float).ravel()
-    n = labels.size
-    cols = _as_columns(component_outputs)
-    if cols.size == 0:
-        cols = np.empty((n, 0))
-    if cols.shape[0] != n:
-        raise SolverError(f"column length {cols.shape[0]} != label length {n}")
-    if not np.all(np.isfinite(cols)) or not np.all(np.isfinite(labels)):
-        raise SolverError("non-finite entries in component outputs or labels")
-    k = cols.shape[1]
+    cols, labels = _columns(component_outputs, labels)
+    n, k = cols.shape
 
     full = np.column_stack([np.ones(n), cols])
     sv = np.linalg.svd(full, compute_uv=False)

@@ -103,10 +103,6 @@ class Component:
     def input_dim(self) -> int:
         return self.layers[0].weights.shape[0]
 
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].weights.shape[1]
-
     def select_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:

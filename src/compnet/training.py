@@ -82,7 +82,6 @@ class ParamLayout:
     combines: list[tuple[str, int, int]]  # (combine id, start, stop) in the flat vector
     blocks: list[tuple[str, int, int, int]]  # (component id, layer index, start, stop)
     size: int
-    names: list[str]  # one per combine, then per block; for error messages
 
 
 def parameter_layout(
@@ -109,19 +108,16 @@ def parameter_layout(
                     block_keys.append((node.component, li))
     combines = []
     blocks = []
-    names = []
     offset = 0
     for cid in combine_ids:
         n = net.node(cid).theta.size
         combines.append((cid, offset, offset + n))
-        names.append(f"combine {cid}.theta")
         offset += n
     for comp_id, li in block_keys:
         n = components[comp_id].layers[li].size
         blocks.append((comp_id, li, offset, offset + n))
-        names.append(f"component {comp_id} layer {li}")
         offset += n
-    return ParamLayout(combines, blocks, offset, names)
+    return ParamLayout(combines, blocks, offset)
 
 
 def get_parameters(net, components, layout: ParamLayout) -> np.ndarray:
@@ -152,7 +148,6 @@ def gradients(
     components: dict[str, Component],
     inputs: np.ndarray,
     labels: np.ndarray,
-    trainable_nodes: set[str] | None = None,
     layout: ParamLayout | None = None,
 ) -> np.ndarray:
     """Exact gradient of the batch mean squared error, flattened.
@@ -161,7 +156,7 @@ def gradients(
     postorder, then unfrozen component blocks in first-reference order.
     """
     if layout is None:
-        layout = parameter_layout(net, components, trainable_nodes)
+        layout = parameter_layout(net, components)
     inputs = np.asarray(inputs, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if labels.ndim == 1:
@@ -221,8 +216,9 @@ def gradients(
                     d = dpre @ layer.weights.T
 
     if not np.all(np.isfinite(flat)):
-        spans = [entry[-2:] for entry in layout.combines + layout.blocks]
-        bad = [n for n, (i, j) in zip(layout.names, spans) if not np.all(np.isfinite(flat[i:j]))]
+        spans = [(f"combine {cid}.theta", i, j) for cid, i, j in layout.combines]
+        spans += [(f"component {cid} layer {li}", i, j) for cid, li, i, j in layout.blocks]
+        bad = [name for name, i, j in spans if not np.all(np.isfinite(flat[i:j]))]
         raise NonFiniteGradientError(f"non-finite gradient entries at: {', '.join(bad)}")
     return flat
 

@@ -79,6 +79,25 @@ class TestSolveLinear:
         assert "+1.0000000000" in out and "+2.0000000000" in out
         assert "A1 holds=True" in out
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("f1,f2,y\n1,0,1\n0,abc,2\n", "line 3"),
+            ("f1,f2,y\n1,0,1\n0,1,2\nnan,0,0\n", "rows: [4]"),
+            ("f1,f2,y\n1,0,1\n0,1\n", "line 3"),
+            ("f1,f2,y\n1,0,1\n0,1,2,5\n", "line 3"),
+            ("", "empty file"),
+            ("f1,f2\n1,0\n", "missing columns: y"),
+        ],
+        ids=["bad-cell", "nan-cell", "short-row", "long-row", "empty-file", "no-y"],
+    )
+    def test_malformed_input_names_file_and_line(self, tmp_path, capsys, text, where):
+        p = tmp_path / "comps.csv"
+        p.write_text(text)
+        assert main(["solve-linear", "--data", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert f"{p}: " in err and where in err
+
 
 @pytest.fixture(scope="module")
 def bundle(tmp_path_factory):

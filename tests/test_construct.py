@@ -99,30 +99,28 @@ class TestDbcn:
         pool = comps[:3]
         cfg = _fast_cfg()
         report = cn.dbcn(pool, data, cfg)
-        from compnet.construct import (
-            _build_candidate,
-            _component_state,
-            _Namer,
-            _train_candidate,
-        )
+        import itertools
 
-        namer = _Namer()
+        from compnet.construct import _component_state, _fit
+
+        ids = itertools.count(1)
         state = _component_state(pool[0], data)
         state.name = "g1"
         for j, comp in enumerate(pool[1:], start=2):
             right = _component_state(comp, data)
             outcomes = []
             for act in cfg.activations:
-                cand = _build_candidate(
+                trained, record, err = _fit(
                     state,
                     right,
                     act,
-                    namer,
+                    ids,
                     description=f"{act.label}({state.name},{comp.id})",
                     seed_key=f"merge{j - 2}:{act.tag}:xx",
                     opened=set(),
+                    data=data,
+                    cfg=cfg,
                 )
-                trained, record, err = _train_candidate(cand, data, cfg)
                 assert err is None
                 outcomes.append((record.train_loss, record.description, trained))
             best = min(outcomes, key=lambda t: t[0])
@@ -244,8 +242,10 @@ class TestExhaustive:
 
     def test_schedule_must_cover_pool(self, task):
         data, comps = task
-        with pytest.raises(cn.ConstructionError, match="schedule"):
-            cn.exhaustive(comps[:3], data, _fast_cfg(), schedule=(0, 1))
+        # a missing leaf, a duplicate leaf, an out-of-range leaf
+        for schedule in [(0, 1), ((0, 1), 1), ((0, 1), 3)]:
+            with pytest.raises(cn.ConstructionError, match="schedule"):
+                cn.exhaustive(comps[:3], data, _fast_cfg(), schedule=schedule)
 
 
 class TestCandidateGuard:

@@ -137,6 +137,22 @@ class TestSolverProperties:
                 cn.predict(theta, cols), y
             )
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 600),
+        k=st.integers(0, 6),
+        scale=st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_component_losses_are_residual_losses(self, seed, n, k, scale):
+        r = np.random.default_rng(seed)
+        y = scale * r.normal(size=n)
+        cols = y[:, None] + scale * r.normal(size=(n, k))
+        losses = cn.component_losses(cols, y)
+        assert losses.shape == (k,)
+        for j in range(k):
+            assert losses[j] == cn.residual_loss(cols[:, j], y)
+
     def test_matches_iterative_descent_oracle(self):
         for seed in range(5):
             r = np.random.default_rng(100 + seed)
