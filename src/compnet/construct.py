@@ -306,6 +306,10 @@ def _merges(tree, count: int) -> list[_Merge]:
                 raise ConstructionError("schedule must cover every pool index exactly once")
             seen.add(node)
             return node
+        if not (isinstance(node, (tuple, list)) and len(node) == 2):
+            raise ConstructionError(
+                f"schedule node {node!r} is neither a pool index nor a pair of subtrees"
+            )
         left, right = visit(node[0]), visit(node[1])
         merges.append(_Merge(left, right, 1 + max(_level(left), _level(right))))
         return merges[-1]

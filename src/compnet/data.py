@@ -319,6 +319,9 @@ def load_csv(path, features: list[str], labels: list[str]) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
+        duplicates = sorted({c for c in header if header.count(c) > 1})
+        if duplicates:
+            raise DataError(f"{path}: duplicate header columns: {', '.join(duplicates)}")
         missing = [c for c in list(features) + list(labels) if c not in header]
         if missing:
             raise DataError(f"{path}: missing columns: {', '.join(missing)}")

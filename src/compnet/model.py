@@ -242,16 +242,19 @@ class CompositeNetwork:
         if len(set(ids)) != len(ids):
             raise ModelError("duplicate node ids")
         seen: set[str] = set()
+        consumed: set[str] = set()
         for n in nodes:
             for c in _children_of(n):
                 if c not in seen:
                     raise ModelError(f"node {n.id!r} references {c!r} before it is defined")
+                consumed.add(c)
             seen.add(n.id)
         if root not in seen:
             raise ModelError(f"root {root!r} is not a node")
         self.nodes = nodes
         self.root = root
         self._by_id = {n.id: n for n in nodes}
+        self._consumed = consumed  # ids that some node takes as a child
 
     def node(self, node_id: str) -> Node:
         return self._by_id[node_id]
@@ -349,32 +352,63 @@ def node_values(
     components: dict[str, Component],
     inputs: np.ndarray,
     traces: dict[str, list] | None = None,
+    known: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Value of every node on every input row, children before parents.
 
     ``traces`` (optional, output) maps each component-reference node id
-    to its per-layer trace (see ``Component.forward``).
+    to its per-layer trace (see ``Component.forward``).  ``known``
+    (optional) gives precomputed values for some nodes, one row per input
+    row; those nodes are not recomputed, and nodes that only they consume
+    are skipped and left out of the result.
+
+    A numpy ``FloatingPointError`` (raised when the caller runs this under
+    ``np.errstate(..., "raise")``) becomes an ``EvaluationError`` naming the
+    first non-finite node so far, or else the node being computed.
     """
     inputs = np.asarray(inputs, dtype=float)
+    skip = _only_feeding(net, known) if known else set()
     values: dict[str, np.ndarray] = {}
     for node in net.nodes:
-        if isinstance(node, ComponentRef):
-            comp = components.get(node.component)
-            if comp is None:
-                raise EvaluationError(f"unresolved component {node.component!r}", node.id)
-            trace = None if traces is None else traces.setdefault(node.id, [])
-            v = comp.forward(inputs, trace)
-        elif isinstance(node, Combine):
-            v = np.full((inputs.shape[0], 1), node.theta[0])
-            for w, child in zip(node.theta[1:], node.children):
-                try:
-                    v = v + w * values[child]
-                except ValueError as exc:
-                    raise EvaluationError(f"child widths do not broadcast: {exc}", node.id)
-        else:
-            v = node.activation.value(values[node.child])
+        if node.id in skip:
+            if node.id in known:
+                values[node.id] = known[node.id]
+            continue
+        try:
+            if isinstance(node, ComponentRef):
+                comp = components.get(node.component)
+                if comp is None:
+                    raise EvaluationError(f"unresolved component {node.component!r}", node.id)
+                trace = None if traces is None else traces.setdefault(node.id, [])
+                v = comp.forward(inputs, trace)
+            elif isinstance(node, Combine):
+                v = np.full((inputs.shape[0], 1), node.theta[0])
+                for w, child in zip(node.theta[1:], node.children):
+                    try:
+                        v = v + w * values[child]
+                    except ValueError as exc:
+                        raise EvaluationError(f"child widths do not broadcast: {exc}", node.id)
+            else:
+                v = node.activation.value(values[node.child])
+        except FloatingPointError:
+            bad = next((k for k, u in values.items() if not np.all(np.isfinite(u))), node.id)
+            raise EvaluationError("non-finite value produced", bad) from None
         values[node.id] = v
     return values
+
+
+def _only_feeding(net: CompositeNetwork, known) -> set[str]:
+    """The ``known`` nodes plus every node that only skipped nodes consume."""
+    needed: set[str] = set()
+    skip: set[str] = set()
+    for node in reversed(net.nodes):
+        if node.id in known or (node.id in net._consumed and node.id not in needed):
+            skip.add(node.id)
+        elif isinstance(node, Combine):
+            needed.update(node.children)
+        elif isinstance(node, Activate):
+            needed.add(node.child)
+    return skip
 
 
 def evaluate(
@@ -386,8 +420,11 @@ def evaluate(
 
     Every node is checked, not just the root, so a non-finite value that a
     saturating activation hides is still reported at the node that made it.
+    numpy overflow and invalid operations end in that error too, not in a
+    printed warning.
     """
-    values = node_values(net, components, inputs)
+    with np.errstate(over="raise", invalid="raise"):
+        values = node_values(net, components, inputs)
     for node in net.nodes:
         if not np.all(np.isfinite(values[node.id])):
             raise EvaluationError("non-finite value produced", node.id)

@@ -20,8 +20,9 @@ from .model import (
     CompositeNetwork,
     Dataset,
     EvaluationError,
-    loss_l2,
+    _children_of,
     node_values,
+    residual_loss,
 )
 
 
@@ -149,11 +150,15 @@ def gradients(
     inputs: np.ndarray,
     labels: np.ndarray,
     layout: ParamLayout | None = None,
+    known: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Exact gradient of the batch mean squared error, flattened.
 
     The flat order matches ``parameter_layout``: combine thetas in
     postorder, then unfrozen component blocks in first-reference order.
+    ``known`` (optional) gives the batch rows of nodes that no parameter
+    in the layout moves (see ``node_values``); the backward pass stops
+    at them.
     """
     if layout is None:
         layout = parameter_layout(net, components)
@@ -166,7 +171,8 @@ def gradients(
         raise GradientError("empty batch")
 
     traces: dict[str, list] = {}
-    values = node_values(net, components, inputs, traces)
+    values = node_values(net, components, inputs, traces, known)
+    known = known or {}
     pred = values[net.root]
     if pred.shape != labels.shape:
         raise GradientError(f"prediction shape {pred.shape} != label shape {labels.shape}")
@@ -179,7 +185,7 @@ def gradients(
 
     for node in reversed(net.nodes):
         a = adjoint.get(node.id)
-        if a is None:
+        if a is None or node.id in known:
             continue
         if isinstance(node, Combine):
             if node.id in combine_spans:
@@ -189,6 +195,8 @@ def gradients(
                 for j, child in enumerate(node.children):
                     g[j + 1] += float((a * values[child]).sum())
             for w, child in zip(node.theta[1:], node.children):
+                if child in known:
+                    continue
                 ca = w * a
                 cw = values[child].shape[1]
                 if cw != ca.shape[1]:
@@ -233,6 +241,58 @@ def _accumulate(adjoint: dict, key: str, value: np.ndarray) -> None:
 # -- training loop ---------------------------------------------------------
 
 
+@dataclass
+class _Split:
+    """One dataset split inside one ``train`` call: its rows, the values of
+    the frozen nodes that live nodes consume, and which frozen nodes are
+    finite.  Frozen nodes depend on no trained parameter, so they are
+    computed and checked once."""
+
+    inputs: np.ndarray
+    labels: np.ndarray
+    known: dict[str, np.ndarray]
+    finite: dict[str, bool]
+
+
+def _frozen_frontier(net: CompositeNetwork, layout: ParamLayout) -> tuple[set[str], set[str]]:
+    """Frozen nodes (no trained combine or opened component in their
+    subtree) and the frozen nodes that live nodes consume."""
+    trained = {cid for cid, *_ in layout.combines}
+    opened = {cid for cid, *_ in layout.blocks}
+    live: set[str] = set()
+    for node in net.nodes:
+        if isinstance(node, ComponentRef):
+            is_live = node.component in opened
+        elif isinstance(node, Combine):
+            is_live = node.id in trained or any(c in live for c in node.children)
+        else:
+            is_live = node.child in live
+        if is_live:
+            live.add(node.id)
+    frozen = {node.id for node in net.nodes} - live
+    feeds_live = {c for node in net.nodes if node.id in live for c in _children_of(node)}
+    return frozen, frozen & feeds_live
+
+
+def _cache_split(net, components, frozen, frontier, inputs, labels) -> _Split:
+    values = node_values(net, components, inputs)
+    finite = {nid: bool(np.all(np.isfinite(values[nid]))) for nid in frozen}
+    return _Split(inputs, labels, {nid: values[nid] for nid in frontier}, finite)
+
+
+def _split_loss(net, components, split: _Split) -> float:
+    """``loss_l2`` of the split, recomputing only live nodes; the first
+    non-finite node in postorder is reported as ``evaluate`` reports it."""
+    values = node_values(net, components, split.inputs, known=split.known)
+    for node in net.nodes:
+        ok = split.finite.get(node.id)
+        if ok is None:
+            ok = np.all(np.isfinite(values[node.id]))
+        if not ok:
+            raise EvaluationError("non-finite value produced", node.id)
+    return residual_loss(values[net.root], split.labels)
+
+
 def train(
     net: CompositeNetwork,
     components: dict[str, Component],
@@ -243,7 +303,10 @@ def train(
     """SGD on the training split; returns a trained copy.
 
     Frozen blocks of the input are never modified (the returned copy
-    carries bit-identical frozen weights).
+    carries bit-identical frozen weights).  Frozen subtrees are evaluated
+    once per split; every batch and every epoch loss recomputes only the
+    nodes above them.  Divergence is reported as a ``TrainingError``, so
+    numpy overflow warnings are silenced here.
     """
     net = net.copy()
     components = {k: c.copy() for k, c in components.items()}
@@ -256,8 +319,6 @@ def train(
         raise TrainingError("training split is empty")
     if cfg.batch_size > n_train:
         raise TrainingError(f"batch_size {cfg.batch_size} exceeds {n_train} training rows")
-    x_train = data.inputs[data.train_idx]
-    y_train = data.labels[data.train_idx]
 
     rng = np.random.default_rng(cfg.seed)
     velocity = np.zeros(layout.size)
@@ -265,35 +326,49 @@ def train(
     best = np.inf
     stale = 0
 
-    for epoch in range(cfg.max_epochs):
-        lr = cfg.lr_at(epoch)
-        perm = rng.permutation(n_train)
-        for start in range(0, n_train, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
+    with np.errstate(over="ignore", invalid="ignore"):
+        frozen, frontier = _frozen_frontier(net, layout)
+        train_split, test_split = (
+            _cache_split(net, components, frozen, frontier, data.inputs[idx], data.labels[idx])
+            if idx.size
+            else None
+            for idx in (data.train_idx, data.test_idx)
+        )
+        for epoch in range(cfg.max_epochs):
+            lr = cfg.lr_at(epoch)
+            perm = rng.permutation(n_train)
+            for start in range(0, n_train, cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
+                known = {nid: v[idx] for nid, v in train_split.known.items()}
+                try:
+                    grad = gradients(
+                        net,
+                        components,
+                        train_split.inputs[idx],
+                        train_split.labels[idx],
+                        layout=layout,
+                        known=known,
+                    )
+                except NonFiniteGradientError as exc:
+                    raise TrainingError(f"diverged at epoch {epoch}: {exc}") from exc
+                velocity = MOMENTUM * velocity - lr * grad
+                params = get_parameters(net, components, layout) + velocity
+                set_parameters(net, components, layout, params)
             try:
-                grad = gradients(net, components, x_train[idx], y_train[idx], layout=layout)
-            except NonFiniteGradientError as exc:
+                train_loss = _split_loss(net, components, train_split)
+                test_loss = _split_loss(net, components, test_split) if test_split else float("nan")
+            except EvaluationError as exc:
                 raise TrainingError(f"diverged at epoch {epoch}: {exc}") from exc
-            velocity = MOMENTUM * velocity - lr * grad
-            params = get_parameters(net, components, layout) + velocity
-            set_parameters(net, components, layout, params)
-        try:
-            train_loss = loss_l2(net, components, data, "train")
-            test_loss = (
-                loss_l2(net, components, data, "test") if data.test_idx.size else float("nan")
-            )
-        except EvaluationError as exc:
-            raise TrainingError(f"diverged at epoch {epoch}: {exc}") from exc
-        if not np.isfinite(train_loss):
-            raise TrainingError(f"diverged at epoch {epoch}: loss is not finite")
-        history.append(EpochStats(epoch, train_loss, test_loss))
-        if train_loss < best - 1e-12:
-            best = train_loss
-            stale = 0
-        else:
-            stale += 1
-            if cfg.early_stop_patience > 0 and stale >= cfg.early_stop_patience:
-                break
+            if not np.isfinite(train_loss):
+                raise TrainingError(f"diverged at epoch {epoch}: loss is not finite")
+            history.append(EpochStats(epoch, train_loss, test_loss))
+            if train_loss < best - 1e-12:
+                best = train_loss
+                stale = 0
+            else:
+                stale += 1
+                if cfg.early_stop_patience > 0 and stale >= cfg.early_stop_patience:
+                    break
 
     return TrainResult(net=net, components=components, history=history)
 

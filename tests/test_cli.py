@@ -88,8 +88,12 @@ class TestSolveLinear:
             ("f1,f2,y\n1,0,1\n0,1,2,5\n", "line 3"),
             ("", "empty file"),
             ("f1,f2\n1,0\n", "missing columns: y"),
+            ("f1,f1,y\n1,0,1\n0,1,2\n0,0,0\n0,0,0\n", "duplicate header columns: f1"),
         ],
-        ids=["bad-cell", "nan-cell", "short-row", "long-row", "empty-file", "no-y"],
+        ids=[
+            "bad-cell", "nan-cell", "short-row", "long-row", "empty-file", "no-y",
+            "duplicate-header",
+        ],
     )
     def test_malformed_input_names_file_and_line(self, tmp_path, capsys, text, where):
         p = tmp_path / "comps.csv"
@@ -160,7 +164,6 @@ class TestCompose:
         err = capsys.readouterr().err
         assert "--schedule" in err and mode in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_candidates_are_recorded_not_fatal(self, tmp_path, capsys):
         out = tmp_path / "b7"
         assert main(["synth", "--seed", "7", "--out", str(out)]) == 0

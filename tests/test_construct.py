@@ -242,8 +242,9 @@ class TestExhaustive:
 
     def test_schedule_must_cover_pool(self, task):
         data, comps = task
-        # a missing leaf, a duplicate leaf, an out-of-range leaf
-        for schedule in [(0, 1), ((0, 1), 1), ((0, 1), 3)]:
+        # a missing leaf, a duplicate leaf, an out-of-range leaf, a leaf
+        # that is not an index, a node with a third subtree
+        for schedule in [(0, 1), ((0, 1), 1), ((0, 1), 3), ("a", 1), ((0, 1), 2, 0)]:
             with pytest.raises(cn.ConstructionError, match="schedule"):
                 cn.exhaustive(comps[:3], data, _fast_cfg(), schedule=schedule)
 

@@ -122,7 +122,6 @@ class TestEvaluate:
             cn.evaluate(net, {"ident": ident}, np.array([[2.0]]))
         assert err.value.node_id == "boom"
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_nonfinite_masked_by_saturating_root_still_reported(self):
         ident = cn.Component(
             "ident",
@@ -137,10 +136,27 @@ class TestEvaluate:
         ]
         net = cn.CompositeNetwork(nodes, "squash")
         x = np.array([[2.0]])
-        assert np.all(np.isfinite(cn.node_values(net, {"ident": ident}, x)["squash"]))
+        with np.errstate(over="ignore"):  # node_values itself leaves overflow to numpy
+            assert np.all(np.isfinite(cn.node_values(net, {"ident": ident}, x)["squash"]))
         with pytest.raises(cn.EvaluationError) as err:
             cn.evaluate(net, {"ident": ident}, x)
         assert err.value.node_id == "boom"
+
+    def test_nonfinite_input_reported_where_it_first_appears(self):
+        ident = cn.Component(
+            "ident",
+            cn.KIND_PRETRAINED,
+            cn.ROLE_BASE,
+            [cn.AffineLayer(np.array([[1.0]]), np.zeros(1), cn.LINEAR)],
+        )
+        # r is inf without a floating-point exception; inf - inf raises at c
+        nodes = [
+            cn.ComponentRef("r", "ident"),
+            cn.Combine("c", ["r", "r"], np.array([0.0, 1.0, -1.0])),
+        ]
+        with pytest.raises(cn.EvaluationError) as err:
+            cn.evaluate(cn.CompositeNetwork(nodes, "c"), {"ident": ident}, np.array([[np.inf]]))
+        assert err.value.node_id == "r"
 
     def test_children_must_be_defined_first(self):
         with pytest.raises(cn.ModelError):

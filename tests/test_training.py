@@ -150,8 +150,6 @@ class TestTrain:
         np.testing.assert_array_equal(result.net.node("inner").theta, net.node("inner").theta)
         assert not np.array_equal(result.net.node("outer").theta, net.node("outer").theta)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_reports_epoch(self, small_task):
         data, comps = small_task
         net = linear_mix_network(comps)
@@ -176,3 +174,114 @@ class TestTrain:
         lines = text.strip().splitlines()
         assert lines[0] == "epoch,train_loss,test_loss"
         assert len(lines) == len(result.history) + 1
+
+
+def _chain(leaves, inner, root):
+    """Left-deep chain: merge j mixes the previous merge with leaf j; every
+    merge but the last ends in ``inner``, the last in ``root``."""
+    nodes = [cn.ComponentRef(f"r{i}", cid) for i, cid in enumerate(leaves)]
+    prev = "r0"
+    for j in range(1, len(leaves)):
+        nodes.append(cn.Combine(f"mix{j}", [prev, f"r{j}"], np.array([0.05, 0.6, 0.4])))
+        prev = f"mix{j}"
+        act = inner if j < len(leaves) - 1 else root
+        if act.tag != "linear":
+            nodes.append(cn.Activate(f"act{j}", prev, act))
+            prev = f"act{j}"
+    return cn.CompositeNetwork(nodes, prev)
+
+
+def _reference_train(net, reg, data, cfg, trainable_nodes):
+    """``train`` with nothing cached: every batch runs the whole network
+    through the public ``gradients`` and every epoch loss is ``loss_l2``."""
+    net = net.copy()
+    reg = {k: c.copy() for k, c in reg.items()}
+    layout = cn.parameter_layout(net, reg, trainable_nodes)
+    x, y = data.inputs[data.train_idx], data.labels[data.train_idx]
+    rng = np.random.default_rng(cfg.seed)
+    velocity = np.zeros(layout.size)
+    history, best, stale = [], np.inf, 0
+    for epoch in range(cfg.max_epochs):
+        lr = cfg.lr_at(epoch)
+        perm = rng.permutation(x.shape[0])
+        for start in range(0, x.shape[0], cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            grad = cn.gradients(net, reg, x[idx], y[idx], layout=layout)
+            velocity = cn.training.MOMENTUM * velocity - lr * grad
+            cn.set_parameters(net, reg, layout, cn.get_parameters(net, reg, layout) + velocity)
+        train_loss = cn.loss_l2(net, reg, data, "train")
+        history.append((train_loss, cn.loss_l2(net, reg, data, "test")))
+        if train_loss < best - 1e-12:
+            best, stale = train_loss, 0
+        else:
+            stale += 1
+            if stale >= cfg.early_stop_patience:
+                break
+    return history, cn.get_parameters(net, reg, layout)
+
+
+def _oracle_case(name, comps):
+    reg = cn.registry(comps)
+    chain = ["f1", "f2", "f3", "f1"]
+    if name == "frozen-chain-linear":
+        return _chain(chain, cn.SL, cn.LINEAR), reg, {"mix3"}
+    if name == "frozen-chain-sl":
+        return _chain(chain, cn.SL, cn.SL), reg, {"mix3"}
+    if name == "cached-and-open-merge":
+        reg["f3"] = reg["f3"].opened_copy()
+        nodes = [*_chain(["f1", "f2"], cn.SL, cn.SL).nodes, cn.ComponentRef("ro", "f3")]
+        nodes.append(cn.Combine("top", ["act1", "ro"], np.array([0.0, 0.5, 0.5])))
+        return cn.CompositeNetwork(nodes, "top"), reg, {"top", "ro"}
+    if name == "non-instantiated":
+        layers = [
+            cn.AffineLayer(np.full((5, 4), 0.1), np.zeros(4), cn.TANH),
+            cn.AffineLayer(np.full((4, 1), 0.2), np.zeros(1), cn.LINEAR),
+        ]
+        reg["n"] = cn.Component("n", cn.KIND_OPEN, cn.ROLE_AUX, layers, frozen=[True, False])
+        return _chain(["f1", "f2", "n"], cn.SL, cn.LINEAR), reg, {"mix2", "r2"}
+    return _chain(["f1", "f2", "f3"], cn.SL, cn.SL), reg, None  # every combine trains
+
+
+class TestCachedTraining:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "frozen-chain-linear",
+            "frozen-chain-sl",
+            "cached-and-open-merge",
+            "non-instantiated",
+            "all-trainable",
+        ],
+    )
+    def test_matches_uncached_reference_bit_for_bit(self, small_task, case):
+        data, comps = small_task
+        net, reg, trainable = _oracle_case(case, comps)
+        cfg = cn.TrainConfig(max_epochs=12, early_stop_patience=3, seed=5)
+        result = cn.train(net, reg, data, cfg, trainable_nodes=trainable)
+        history, params = _reference_train(net, reg, data, cfg, trainable)
+        assert [(h.train_loss, h.test_loss) for h in result.history] == history
+        layout = cn.parameter_layout(result.net, result.components, trainable)
+        np.testing.assert_array_equal(
+            cn.get_parameters(result.net, result.components, layout), params
+        )
+
+    def test_frozen_subtrees_run_once_per_split(self, small_task, monkeypatch):
+        data, comps = small_task
+        net = _chain(["f1", "f2", "f3", "f1", "f2"], cn.SL, cn.SL)  # depth 4
+        forward = cn.Component.forward
+        calls = []
+
+        def counting_forward(self, x, trace=None):
+            calls.append(self.id)
+            return forward(self, x, trace)
+
+        monkeypatch.setattr(cn.Component, "forward", counting_forward)
+        counts = []
+        for epochs in (2, 6):
+            calls.clear()
+            cfg = cn.TrainConfig(max_epochs=epochs, early_stop_patience=0, seed=1)
+            result = cn.train(net, cn.registry(comps), data, cfg, trainable_nodes={"mix4"})
+            assert len(result.history) == epochs
+            counts.append(len(calls))
+        # one forward per component reference per split, however long training runs
+        assert counts[0] == counts[1] <= 2 * len(net.ref_nodes())
