@@ -24,15 +24,15 @@ import numpy as np
 
 from .activations import Activation, LOGISTIC
 from .linear import (
-    GramSystem,
     SingularGramError,
     build_gram,
-    check_assumptions,
+    check_a1,
+    check_a2,
     component_losses,
     solve_theta_star,
 )
 from .model import residual_loss
-from .scaled import apply_wrapper, construct_wrapper
+from .scaled import apply_wrapper, construct_wrapper, margin_epsilon
 
 STRICT_SLACK = 1e-12
 _SMALL_N = 100
@@ -50,7 +50,6 @@ class TrialSpec:
     trials: int
     seed: int = 0
     component_noise: float = 0.5
-    eta_probe: np.ndarray | None = None  # candidate angle-threshold constants
 
     def __post_init__(self):
         if self.n < 4:
@@ -113,17 +112,9 @@ def near_perpendicular(u, v, eta: float) -> bool:
 
 
 def _abs_cosines(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """|cos angle(u, v)| for `count` uniform unit vectors v against a fixed u."""
-    out = np.empty(count)
-    done = 0
-    block = max(1, int(2_000_000 // max(n, 1)))
-    while done < count:
-        b = min(block, count - done)
-        v = rng.standard_normal((b, n))
-        # u is the first standard basis vector; the sphere is isotropic
-        out[done : done + b] = np.abs(v[:, 0]) / np.linalg.norm(v, axis=1)
-        done += b
-    return out
+    """|cos angle(u, v)| for `count` uniform unit vectors v in R^n against a
+    fixed u: cos^2 is Beta(1/2, (n-1)/2) distributed."""
+    return np.sqrt(rng.beta(0.5, (n - 1) / 2.0, count))
 
 
 def verify_orthogonality(spec: TrialSpec) -> BoundReport:
@@ -132,11 +123,8 @@ def verify_orthogonality(spec: TrialSpec) -> BoundReport:
     rng = np.random.default_rng(spec.seed)
     n = spec.n
     bound = 1.0 - 1.0 / np.sqrt(n)
-    grid = spec.eta_probe if spec.eta_probe is not None else np.arange(0.02, 5.0001, 0.02)
-    grid = np.asarray(grid, dtype=float)
-    grid = grid[(grid > 0) & (grid <= 2.0 * np.sqrt(n))]
-    if grid.size == 0:
-        raise ValueError("eta_probe grid is empty after clipping to (0, 2*sqrt(n)]")
+    grid = np.arange(0.02, 5.0001, 0.02)
+    grid = grid[grid <= 2.0 * np.sqrt(n)]
 
     pilot_count = max(2000, spec.trials // 10)
     pilot = _abs_cosines(rng, n, pilot_count)
@@ -169,47 +157,54 @@ def verify_orthogonality(spec: TrialSpec) -> BoundReport:
 # -- ensemble draws --------------------------------------------------------
 
 
-def _draw_instance(rng: np.random.Generator, n: int, k: int, noise: float, budget: list):
-    """Label vector plus k component columns near it, resampled until the
-    independence (A1) and imperfection (A2) checks pass."""
-    while True:
-        y = rng.standard_normal(n)
-        cols = (
-            y[:, None] + noise * rng.standard_normal((n, k)) if k else np.empty((n, 0))
-        )
-        rep = check_assumptions(cols, y)
-        if rep.a1.holds and rep.a2.holds:
-            return y, cols
-        budget[0] -= 1
-        if budget[0] <= 0:
-            raise DegenerateSpecError(
-                "resampling budget exhausted while enforcing A1/A2; "
-                "component_noise is too small or the spec is degenerate"
-            )
+def _run_trials(spec: TrialSpec, event) -> tuple[int, int]:
+    """Count the trials on which ``event(y, cols, system)`` holds.
+
+    Each trial draws labels y ~ N(0, I_N) and spec.k component columns
+    y + component_noise * N(0, I_N), redrawn until A2 and A1 hold;
+    ``system`` is the draw's accepted Gram system, bias first.  A system
+    over a subset of its columns, with or without the bias, is a
+    principal submatrix, so it passes A1 too (eigenvalue interlacing)
+    and the event solves it without a check.  Returns (successes,
+    resamples).
+    """
+    rng = np.random.default_rng(spec.seed)
+    n, k = spec.n, spec.k
+    budget = 100 * spec.trials
+    successes = resamples = 0
+    for _ in range(spec.trials):
+        while True:
+            y = rng.standard_normal(n)
+            cols = y[:, None] + spec.component_noise * rng.standard_normal((n, k))
+            system = build_gram(cols, y)
+            if check_a2(cols, y).holds and check_a1(system.gram).holds:
+                break
+            resamples += 1
+            if resamples >= budget:
+                raise DegenerateSpecError(
+                    "resampling budget exhausted while enforcing A1/A2; "
+                    "component_noise is too small or the spec is degenerate"
+                )
+        if event(y, cols, system):
+            successes += 1
+    return successes, resamples
 
 
 def verify_strict_improvement(spec: TrialSpec) -> BoundReport:
     """Rate of E(optimal combination) < min over {bias, components}."""
-    rng = np.random.default_rng(spec.seed)
     n, k = spec.n, spec.k
     bound = 1.0 - (k + 1) / np.sqrt(n)
-    budget = [100 * spec.trials]
-    successes = 0
-    for _ in range(spec.trials):
-        while True:
-            y, cols = _draw_instance(rng, n, k, spec.component_noise, budget)
-            try:
-                theta = solve_theta_star(build_gram(cols, y))
-                break
-            except SingularGramError:
-                budget[0] -= 1
+
+    def improves(y, cols, system):
+        theta = np.linalg.solve(system.gram, system.rhs)
         e_g = residual_loss(theta[0] + cols @ theta[1:], y)
         baseline = residual_loss(np.ones(n), y)  # the bias column alone
         if k:
             baseline = min(baseline, float(np.min(component_losses(cols, y))))
-        if e_g < baseline - STRICT_SLACK:
-            successes += 1
-    details = {"resamples": 100 * spec.trials - budget[0], "component_noise": spec.component_noise}
+        return e_g < baseline - STRICT_SLACK
+
+    successes, resamples = _run_trials(spec, improves)
+    details = {"resamples": resamples, "component_noise": spec.component_noise}
     return _report("strict-improvement", successes, spec.trials, bound, details)
 
 
@@ -218,26 +213,15 @@ def verify_add_width(spec: TrialSpec) -> BoundReport:
     beats the better of the two components; requires k = 2."""
     if spec.k != 2:
         raise ValueError("the width claim is about exactly two components (k = 2)")
-    rng = np.random.default_rng(spec.seed)
-    n = spec.n
-    bound = 1.0 - 2.0 / np.sqrt(n)
-    budget = [100 * spec.trials]
-    successes = 0
-    for _ in range(spec.trials):
-        while True:
-            y, cols = _draw_instance(rng, n, 2, spec.component_noise, budget)
-            # bias-free: k = 1 sizes the 2x2 system over the two columns alone
-            system = GramSystem(cols.T @ cols, cols.T @ y, k=1, n=n)
-            try:
-                alpha = solve_theta_star(system)
-                break
-            except SingularGramError:
-                budget[0] -= 1
-        e = residual_loss(cols @ alpha, y)
+    bound = 1.0 - 2.0 / np.sqrt(spec.n)
+
+    def pair_gains(y, cols, system):
+        alpha = np.linalg.solve(system.gram[1:, 1:], system.rhs[1:])
         best = float(np.min(component_losses(cols, y)))
-        if e < best - STRICT_SLACK:
-            successes += 1
-    details = {"resamples": 100 * spec.trials - budget[0]}
+        return residual_loss(cols @ alpha, y) < best - STRICT_SLACK
+
+    successes, resamples = _run_trials(spec, pair_gains)
+    details = {"resamples": resamples}
     return _report("two-component-gain", successes, spec.trials, bound, details)
 
 
@@ -260,60 +244,43 @@ def verify_depth_compounding(
         raise ValueError(
             "h must not exceed k: every layer beyond the first absorbs a new component"
         )
-    rng = np.random.default_rng(spec.seed)
     n, k = spec.n, spec.k
     bound = (1.0 - (k + 1) / np.sqrt(n)) ** h
     first_count = k - h + 1
-    budget = [100 * spec.trials]
-    successes = 0
-    for _ in range(spec.trials):
-        y, cols = _draw_instance(rng, n, k, spec.component_noise, budget)
+
+    def compounds(y, cols, system):
         all_losses = component_losses(cols, y)
         bias_loss = residual_loss(np.ones(n), y)
-        overall_best = min(bias_loss, float(np.min(all_losses)))
-        prev_pred = None
-        prev_loss = None
-        ok = True
-        for layer in range(1, h + 1):
-            if layer == 1:
-                layer_cols = cols[:, :first_count]
-                # layer 1 must strictly beat the components it combines
-                reference = min(bias_loss, float(np.min(all_losses[:first_count])))
-            else:
-                new_col = cols[:, first_count + layer - 2]
-                layer_cols = np.column_stack([prev_pred, new_col])
-                reference = prev_loss
-            try:
-                theta = solve_theta_star(build_gram(layer_cols, y))
-            except SingularGramError:
-                ok = False
-                break
+        layer_cols = cols[:, :first_count]
+        m = first_count + 1  # the bias and the first layer's columns
+        theta = np.linalg.solve(system.gram[:m, :m], system.rhs[:m])
+        # layer 1 must strictly beat the components it combines
+        loss = min(bias_loss, float(np.min(all_losses[:first_count])))
+        for layer in range(h):
+            if layer:
+                layer_cols = np.column_stack([pred, cols[:, first_count + layer - 1]])
+                try:
+                    theta = solve_theta_star(build_gram(layer_cols, y))
+                except SingularGramError:
+                    return False
             lin_pred = theta[0] + layer_cols @ theta[1:]
-            lin_loss = residual_loss(lin_pred, y)
-            margin = reference - lin_loss
-            if margin <= STRICT_SLACK:
-                ok = False
-                break
             m2 = float(np.max(np.abs(lin_pred - y)))
-            eps = min(1.0, margin / (4.0 * n * (2.0 * m2 + 1.0)))
+            # a margin at or below STRICT_SLACK also lands below 1e-12 here
+            eps = min(1.0, margin_epsilon(loss - residual_loss(lin_pred, y), m2, n))
             if eps < 1e-12:
-                ok = False
-                break
-            wrapper = construct_wrapper(lin_pred, activation, eps)
-            g_pred = np.asarray(apply_wrapper(wrapper, lin_pred))
-            g_loss = residual_loss(g_pred, y)
-            if not g_loss < reference:
-                ok = False
-                break
-            prev_pred, prev_loss = g_pred, g_loss
-        if ok and not prev_loss < overall_best:
-            ok = False
-        if ok:
-            successes += 1
+                return False
+            pred = np.asarray(apply_wrapper(construct_wrapper(lin_pred, activation, eps), lin_pred))
+            g_loss = residual_loss(pred, y)
+            if not g_loss < loss:
+                return False
+            loss = g_loss
+        return loss < min(bias_loss, float(np.min(all_losses)))
+
+    successes, resamples = _run_trials(spec, compounds)
     details = {
         "h": h,
         "activation": activation.tag,
         "first_layer_components": first_count,
-        "resamples": 100 * spec.trials - budget[0],
+        "resamples": resamples,
     }
     return _report("depth-compounding", successes, spec.trials, bound, details)

@@ -373,7 +373,6 @@ def save_csv(
     dataset: Dataset,
     features: list[str] | None = None,
     labels: list[str] | None = None,
-    include_split: bool = True,
 ) -> None:
     """Write a dataset as CSV with exact (round-trippable) floats."""
     d = dataset.inputs.shape[1]
@@ -387,13 +386,11 @@ def save_csv(
     tags[dataset.test_idx] = "test"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = list(features) + list(labels) + (["split"] if include_split else [])
-        writer.writerow(header)
+        writer.writerow(list(features) + list(labels) + ["split"])
         for i in range(dataset.n):
             row = [repr(float(v)) for v in dataset.inputs[i]]
             row += [repr(float(v)) for v in dataset.labels[i]]
-            if include_split:
-                row.append(tags[i])
+            row.append(tags[i])
             writer.writerow(row)
 
 

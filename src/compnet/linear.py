@@ -2,11 +2,16 @@
 
 The normal-equations system is built from inner products of the
 component output columns (index 0 is the all-ones bias column) and
-solved by a symmetric positive-definite factorization.  The module
-also checks the runtime assumptions the guarantees depend on:
+solved by LU factorization.  The module also checks the runtime
+assumptions the guarantees depend on:
 
   A1  component output columns (with the bias column) are linearly
-      independent,
+      independent: the smallest eigenvalue of the Gram matrix is
+      positive and exceeds A1_EIGEN_RATIO = 1e-14 times the largest
+      (a singular-value ratio of about 1e-7).  ``check_a1`` is this
+      one criterion; ``solve_theta_star`` and ``check_assumptions``
+      both apply it.  A principal submatrix of a Gram matrix that
+      passes also passes, by eigenvalue interlacing.
   A2  no component matches the labels exactly (positive L1 error),
   A4  K < 2*sqrt(N) - 1.
 """
@@ -16,12 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .model import residual_loss
 
-A1_RELATIVE_TOL = 1e-10
-_GRAM_COND_TOL = 1e-14
+A1_EIGEN_RATIO = 1e-14
 
 
 class SolverError(ValueError):
@@ -84,18 +87,12 @@ def solve_theta_star(system: GramSystem, ridge: float = 0.0) -> np.ndarray:
     if ridge < 0:
         raise SolverError("ridge must be non-negative")
     a = system.gram + ridge * np.eye(system.k + 1)
-    if ridge == 0.0:
-        w = np.linalg.eigvalsh(a)
-        if w[0] <= 0 or w[0] <= w[-1] * _GRAM_COND_TOL:
-            raise SingularGramError(
-                "Gram matrix numerically singular: component outputs look linearly "
-                "dependent (A1 violated); pass ridge > 0 to regularize explicitly"
-            )
-    try:
-        factor = cho_factor(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
-        raise SingularGramError(f"factorization failed: {exc}") from exc
-    return cho_solve(factor, system.rhs)
+    if ridge == 0.0 and not check_a1(a).holds:
+        raise SingularGramError(
+            "Gram matrix numerically singular: component outputs look linearly "
+            "dependent (A1 violated); pass ridge > 0 to regularize explicitly"
+        )
+    return np.linalg.solve(a, system.rhs)
 
 
 def predict(theta: np.ndarray, component_outputs) -> np.ndarray:
@@ -150,22 +147,34 @@ class AssumptionReport:
         }
 
 
-def check_assumptions(component_outputs, labels, tol: float = A1_RELATIVE_TOL) -> AssumptionReport:
+def check_a1(gram: np.ndarray) -> A1Check:
+    """The one A1 criterion, applied to a Gram matrix.
+
+    The columns' smallest singular value is the square root of the Gram
+    matrix's smallest eigenvalue.
+    """
+    w = np.linalg.eigvalsh(gram)
+    return A1Check(
+        holds=bool(w[0] > 0 and w[0] > w[-1] * A1_EIGEN_RATIO),
+        min_singular_value=float(np.sqrt(max(w[0], 0.0))),
+    )
+
+
+def check_a2(cols: np.ndarray, labels: np.ndarray) -> A2Check:
+    """A2 on checked (N, K) columns and length-N labels; vacuous for K = 0."""
+    if cols.shape[1] == 0:
+        return A2Check(holds=True, min_l1_error=float("inf"))
+    l1 = float(np.min(np.sum(np.abs(cols - labels[:, None]), axis=0)))
+    return A2Check(holds=l1 > 0.0, min_l1_error=l1)
+
+
+def check_assumptions(component_outputs, labels) -> AssumptionReport:
     """Report on A1/A2/A4; never raises for a violated assumption."""
     cols, labels = _columns(component_outputs, labels)
     n, k = cols.shape
-
-    full = np.column_stack([np.ones(n), cols])
-    sv = np.linalg.svd(full, compute_uv=False)
-    smin = float(sv[-1])
-    a1 = A1Check(holds=bool(sv[0] > 0 and smin / sv[0] > tol), min_singular_value=smin)
-
-    if k == 0:
-        a2 = A2Check(holds=True, min_l1_error=float("inf"))
-    else:
-        l1 = np.sum(np.abs(cols - labels[:, None]), axis=0)
-        a2 = A2Check(holds=bool(np.min(l1) > 0.0), min_l1_error=float(np.min(l1)))
-
     bound = 2.0 * np.sqrt(n) - 1.0
-    a4 = A4Check(holds=bool(k < bound), bound=float(bound))
-    return AssumptionReport(a1=a1, a2=a2, a4=a4)
+    return AssumptionReport(
+        a1=check_a1(build_gram(cols, labels).gram),
+        a2=check_a2(cols, labels),
+        a4=A4Check(holds=bool(k < bound), bound=float(bound)),
+    )

@@ -495,8 +495,9 @@ def residual_loss(pred: np.ndarray, labels: np.ndarray) -> float:
         pred = pred[:, None]
     if pred.shape[0] != labels.shape[0]:
         raise ModelError("prediction/label row mismatch")
-    diff = pred - labels
-    return float(np.sum(diff * diff) / labels.shape[0])
+    with np.errstate(over="ignore"):  # huge finite residuals give an inf loss
+        diff = pred - labels
+        return float(np.sum(diff * diff) / labels.shape[0])
 
 
 def count_parameters(net: CompositeNetwork, components: dict[str, Component]) -> dict[str, int]:

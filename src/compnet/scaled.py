@@ -183,6 +183,13 @@ class MarginReport:
     reason: str = ""
 
 
+def margin_epsilon(gap: float, m2: float, n: int) -> float:
+    """gap / (4 N (2 M2 + 1)): the largest wrapper epsilon that keeps the
+    wrapped combiner below a loss it beats by ``gap``, where
+    M2 = max_i |g*(x_i) - y_i| over N points."""
+    return gap / (4.0 * n * (2.0 * m2 + 1.0))
+
+
 def verify_margin(
     wrapper: ScaledWrapper,
     g_star_outputs,
@@ -193,9 +200,8 @@ def verify_margin(
     """Epsilon small enough that the wrapped combiner still beats the
     best single component?
 
-    Uses  eps_needed = (E(f_best) - E(g*)) / (4 N (2 M2 + 1))  with
-    M2 = max_i |g*(x_i) - y_i|; the wrapper qualifies when its epsilon
-    does not exceed eps_needed.
+    The wrapper qualifies when its epsilon does not exceed
+    ``margin_epsilon`` of the gap E(f_best) - E(g*).
     """
     g = np.asarray(g_star_outputs, dtype=float).ravel()
     y = np.asarray(labels, dtype=float).ravel()
@@ -214,8 +220,7 @@ def verify_margin(
                 f"loss {best_component_loss}; no margin to spend"
             ),
         )
-    gap = best_component_loss - g_star_loss
-    epsilon_needed = gap / (4.0 * y.size * (2.0 * m2 + 1.0))
+    epsilon_needed = margin_epsilon(best_component_loss - g_star_loss, m2, y.size)
     ok = wrapper.epsilon <= epsilon_needed
     reason = "" if ok else f"wrapper epsilon {wrapper.epsilon} exceeds {epsilon_needed}"
     return MarginReport(ok=ok, epsilon_needed=float(epsilon_needed), m2=m2, reason=reason)

@@ -35,12 +35,38 @@ class TestOrthogonality:
         report = cn.verify_orthogonality(cn.TrialSpec(n=4, k=0, trials=500, seed=1))
         assert "large N required" in report.details["flags"]
 
+    def test_rate_matches_exact_distribution_at_n4(self):
+        """For N = 4, P(|cos| <= s) = (2/pi)(s sqrt(1 - s^2) + arcsin s)."""
+        trials = 200_000
+        report = cn.verify_orthogonality(cn.TrialSpec(n=4, k=0, trials=trials, seed=21))
+        s = np.sin(report.details["eta"])
+        p = 2.0 / np.pi * (s * np.sqrt(1.0 - s * s) + np.arcsin(s))
+        assert abs(report.empirical_rate - p) <= 5.0 * np.sqrt(p * (1.0 - p) / trials)
+
     def test_seed_determinism(self):
         spec = cn.TrialSpec(n=256, k=0, trials=2000, seed=11)
         a = cn.verify_orthogonality(spec)
         b = cn.verify_orthogonality(spec)
         assert a.empirical_rate == b.empirical_rate
         assert a.details["c"] == b.details["c"]
+
+
+@pytest.mark.parametrize(
+    "verify",
+    [
+        cn.verify_strict_improvement,
+        cn.verify_add_width,
+        lambda spec: cn.verify_depth_compounding(spec, h=2),
+    ],
+    ids=["theorem1", "prop1", "theorem2"],
+)
+def test_degenerate_spec_exhausts_budget(verify):
+    """Noise far below one ulp of the labels leaves every component equal
+    to the labels, so A2 fails on every draw."""
+    from compnet.bounds import DegenerateSpecError
+
+    with pytest.raises(DegenerateSpecError):
+        verify(cn.TrialSpec(n=8, k=2, trials=100, component_noise=1e-300))
 
 
 class TestStrictImprovement:

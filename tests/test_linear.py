@@ -211,3 +211,14 @@ class TestAssumptions:
         y = rng.normal(size=8)
         rep = cn.check_assumptions(np.column_stack([y, y]), y)
         assert not rep.a1.holds and not rep.a2.holds
+
+    def test_a1_report_agrees_with_solver(self):
+        # singular-value ratio 1.4e-9, below the A1 criterion's ~1e-7
+        rng = np.random.default_rng(0)
+        y = rng.normal(size=50)
+        c1 = y + 0.5 * rng.normal(size=50)
+        c2 = c1 + 3e-9 * rng.normal(size=50)
+        cols = np.column_stack([c1, c2])
+        assert not cn.check_assumptions(cols, y).a1.holds
+        with pytest.raises(cn.SingularGramError):
+            cn.solve_theta_star(cn.build_gram(cols, y))

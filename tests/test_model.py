@@ -231,6 +231,10 @@ class TestLoss:
         with pytest.raises(cn.ModelError, match="empty"):
             cn.loss_l2(cn.single_component_network("c"), {"c": comp}, data, "test")
 
+    def test_residual_overflow_is_inf_without_warning(self):
+        # pytest turns a leaked RuntimeWarning into an error here
+        assert cn.residual_loss(np.array([1e200]), np.array([0.0])) == np.inf
+
 
 class TestCountParameters:
     def test_combine_over_two_scalar_components(self, rng):
