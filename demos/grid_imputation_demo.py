@@ -22,7 +22,6 @@ def main():
         rows=5,
         cols=7,
         stations=[(0, 1, "st-a"), (1, 5, "st-b"), (3, 2, "st-c"), (4, 6, "st-d"), (3, 2, "st-e")],
-        features=["pm25"],
     )
     readings = {"st-a": 12.0, "st-b": 30.0, "st-c": 18.0, "st-d": 44.0, "st-e": 22.0}
     grid = cn.rasterize_stations(spec, readings)

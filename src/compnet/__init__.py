@@ -16,12 +16,10 @@ from .activations import (
     SL,
     TANH,
     parse_activation,
-    scaled_logistic,
 )
 from .bounds import (
     BoundReport,
     TrialSpec,
-    near_perpendicular,
     verify_add_width,
     verify_depth_compounding,
     verify_orthogonality,

@@ -1,9 +1,9 @@
 """Activation functions for components and composite nodes.
 
 Each activation knows its value and derivative, and -- where a smooth
-inverse exists around the expansion point -- the first two derivatives
-of the inverse map.  The inverse data is what the scaled-combiner
-construction consumes.
+inverse exists around 0, where each one is steepest -- the first two
+derivatives of the inverse map.  The inverse data is what the
+scaled-combiner construction consumes.
 """
 
 from __future__ import annotations
@@ -46,14 +46,9 @@ class Activation:
         return self.tag != "relu"
 
     @property
-    def expansion_point(self) -> float:
-        """Point where the derivative is maximal (0 for every preset)."""
-        return 0.0
-
-    @property
     def taylor_radius(self) -> float:
-        """Half-width of the interval around the expansion point used
-        when bounding the inverse's curvature."""
+        """Half-width of the interval around 0 used when bounding the
+        inverse's curvature."""
         if self.tag == "scaled-logistic":
             return self.scale
         return 1.0
@@ -87,10 +82,10 @@ class Activation:
         return (z > 0).astype(float)
 
     def centered_value(self, delta):
-        """value(z0 + delta) - value(z0), computed without cancellation.
+        """value(delta) - value(0), computed without cancellation.
 
         Needed when the scaled combiner drives the activation with tiny
-        offsets around the expansion point.
+        offsets around 0.
         """
         delta = np.asarray(delta, dtype=float)
         if self.tag == "linear":
@@ -103,7 +98,7 @@ class Activation:
             return self.out_range * np.tanh(delta / (2.0 * self.scale))
         return np.maximum(delta, 0.0)
 
-    # Derivatives of the inverse map tau around the expansion point.
+    # Derivatives of the inverse map tau around value(0).
 
     def inverse_d1(self, y):
         y = np.asarray(y, dtype=float)
@@ -172,10 +167,6 @@ RELU = Activation("relu")
 SL = Activation("scaled-logistic", scale=500.0, out_range=1000.0)
 
 
-def scaled_logistic(scale: float, out_range: float) -> Activation:
-    return Activation("scaled-logistic", scale=scale, out_range=out_range)
-
-
 def parse_activation(token: str) -> Activation:
     """Parse a CLI token such as 'linear', 'sl', or 'scaled-logistic:500:1000'."""
     t = token.strip().lower()
@@ -192,5 +183,5 @@ def parse_activation(token: str) -> Activation:
     if t.startswith("scaled-logistic"):
         parts = t.split(":")
         if len(parts) == 3:
-            return scaled_logistic(float(parts[1]), float(parts[2]))
+            return Activation("scaled-logistic", scale=float(parts[1]), out_range=float(parts[2]))
     raise ActivationError(f"cannot parse activation token {token!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import Activation, LOGISTIC
+from .activations import LOGISTIC
 from .linear import (
     SingularGramError,
     build_gram,
@@ -100,15 +100,6 @@ def _report(claim: str, successes: int, trials: int, bound: float, details: dict
 
 
 # -- near-orthogonality ----------------------------------------------------
-
-
-def near_perpendicular(u, v, eta: float) -> bool:
-    """Whether the angle between u and v is within eta of a right angle."""
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    c = float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
-    angle = float(np.arccos(np.clip(c, -1.0, 1.0)))
-    return abs(angle - np.pi / 2.0) <= eta
 
 
 def _abs_cosines(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -225,18 +216,16 @@ def verify_add_width(spec: TrialSpec) -> BoundReport:
     return _report("two-component-gain", successes, spec.trials, bound, details)
 
 
-def verify_depth_compounding(
-    spec: TrialSpec, h: int, activation: Activation = LOGISTIC
-) -> BoundReport:
+def verify_depth_compounding(spec: TrialSpec, h: int) -> BoundReport:
     """Grow an h-layer chain and count trials where the loss strictly
     drops at every layer and ends below the best single component.
 
     Each layer is an optimal combine followed by the scaled-activation
-    rescale.  Layer 1 combines the first k-h+1 components; every deeper
-    layer merges the previous chain output with one component not yet
-    absorbed (adding depth brings in new information, so each layer's
-    improvement event is non-trivial).  With h = 1 this is exactly the
-    strict-improvement experiment.
+    rescale through the logistic.  Layer 1 combines the first k-h+1
+    components; every deeper layer merges the previous chain output with
+    one component not yet absorbed (adding depth brings in new
+    information, so each layer's improvement event is non-trivial).  With
+    h = 1 this is exactly the strict-improvement experiment.
     """
     if h < 1:
         raise ValueError("h must be at least 1")
@@ -269,7 +258,7 @@ def verify_depth_compounding(
             eps = min(1.0, margin_epsilon(loss - residual_loss(lin_pred, y), m2, n))
             if eps < 1e-12:
                 return False
-            pred = np.asarray(apply_wrapper(construct_wrapper(lin_pred, activation, eps), lin_pred))
+            pred = np.asarray(apply_wrapper(construct_wrapper(lin_pred, LOGISTIC, eps), lin_pred))
             g_loss = residual_loss(pred, y)
             if not g_loss < loss:
                 return False
@@ -279,7 +268,7 @@ def verify_depth_compounding(
     successes, resamples = _run_trials(spec, compounds)
     details = {
         "h": h,
-        "activation": activation.tag,
+        "activation": LOGISTIC.tag,
         "first_layer_components": first_count,
         "resamples": resamples,
     }

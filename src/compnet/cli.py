@@ -55,6 +55,25 @@ from .training import TrainConfig, history_csv
 
 REPORT_DIR_ENV = "COMPNET_REPORT_DIR"
 
+# Flags that only some compose modes or verify claims read: flag -> (the
+# modes that read it, each a mode or a mode and its schedule; default).
+_COMPONENT_CLAIMS = ("theorem1", "prop1", "theorem2", "scaled-activation")
+_MODE_FLAGS = {
+    "compose": {
+        "delta": (("dbcn", "bbcn"), 0.0),
+        "k0": (("bbcn", "exhaustive --schedule balanced"), 2),
+        "schedule": (("exhaustive",), None),
+    },
+    "verify": {
+        "k": (_COMPONENT_CLAIMS, 3),
+        "noise": (_COMPONENT_CLAIMS, 0.5),
+        "trials": (("orthogonality", "theorem1", "prop1", "theorem2"), 1000),
+        "h": (("theorem2",), 3),
+        "activation": (("scaled-activation",), "logistic"),
+        "epsilon": (("scaled-activation",), 0.1),
+    },
+}
+
 
 class UsageError(Exception):
     pass
@@ -96,10 +115,10 @@ def build_parser() -> _Parser:
     p.add_argument("mode", choices=["dbcn", "bbcn", "exhaustive"])
     p.add_argument("--pool", required=True, help="components JSON bundle")
     p.add_argument("--data", required=True, help="data CSV (features, labels, optional split)")
-    p.add_argument("--delta", type=float, default=0.0, help="pruning threshold (inf allowed)")
+    p.add_argument("--delta", type=float, help="pruning threshold (inf allowed)")
     p.add_argument("--activations", default="linear,sl", help="comma list, e.g. linear,sl")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k0", type=int, default=2, help="base components for the balanced stage")
+    p.add_argument("--k0", type=int, help="base components for the balanced stage")
     p.add_argument("--selection", default="train", choices=["train", "validation"])
     p.add_argument("--epochs", type=int, default=150)
     p.add_argument("--batch", type=int, default=32)
@@ -117,13 +136,13 @@ def build_parser() -> _Parser:
         choices=["orthogonality", "theorem1", "prop1", "theorem2", "scaled-activation"],
     )
     p.add_argument("--n", type=int, default=400)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--k", type=int)
+    p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--h", type=int, default=None, help="layer count (theorem2 only)")
-    p.add_argument("--noise", type=float, default=0.5, help="component noise level")
-    p.add_argument("--activation", default="logistic", help="activation for scaled-activation")
-    p.add_argument("--epsilon", type=float, default=0.1, help="epsilon for scaled-activation")
+    p.add_argument("--h", type=int, help="layer count (theorem2 only)")
+    p.add_argument("--noise", type=float, help="component noise level")
+    p.add_argument("--activation", help="activation for scaled-activation")
+    p.add_argument("--epsilon", type=float, help="epsilon for scaled-activation")
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_verify)
 
@@ -174,8 +193,28 @@ def write_report(payload: dict, path: Path) -> None:
         fh.write("\n")
 
 
+def _read_mode_flags(args) -> None:
+    """Reject a ``_MODE_FLAGS`` flag that the run's mode does not read, then
+    fill in the defaults; ``args._unread`` names the flags left unread."""
+    kind, mode = ("claim", args.claim) if args.subcommand == "verify" else ("mode", args.mode)
+    if mode == "exhaustive":
+        mode += f" --schedule {args.schedule or 'balanced'}"
+    args._unread = set()
+    for flag, (readers, default) in _MODE_FLAGS[args.subcommand].items():
+        if mode not in readers and mode.split(" --")[0] not in readers:
+            if getattr(args, flag) is not None:
+                raise UsageError(
+                    f"--{flag} conflicts with {kind} {mode!r}: "
+                    f"--{flag} is only valid with {' or '.join(readers)}"
+                )
+            args._unread.add(flag)
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+
+
 def _write_manifest(args, argv, inputs, report_path: Path, started: float) -> None:
     config = {k: v for k, v in vars(args).items() if k != "func" and not k.startswith("_")}
+    config.update(dict.fromkeys(getattr(args, "_unread", ())))
     manifest = {
         "subcommand": args.subcommand,
         "argv": list(argv),
@@ -289,10 +328,6 @@ def _cmd_solve_linear(args):
 
 
 def _cmd_compose(args):
-    if args.schedule is not None and args.mode != "exhaustive":
-        raise UsageError(
-            f"--schedule conflicts with mode {args.mode!r}: it is only valid with exhaustive"
-        )
     if args.selection == "validation":
         selection = "validation_loss"
     else:
@@ -372,8 +407,6 @@ def _print_construction(payload: dict) -> None:
 
 
 def _cmd_verify(args):
-    if args.h is not None and args.claim != "theorem2":
-        raise UsageError(f"--h conflicts with claim {args.claim!r}: --h is only valid with theorem2")
     if args.claim == "scaled-activation":
         return _verify_scaled(args)
     spec = TrialSpec(
@@ -386,7 +419,7 @@ def _cmd_verify(args):
     elif args.claim == "prop1":
         report = verify_add_width(spec)
     else:
-        report = verify_depth_compounding(spec, h=args.h if args.h is not None else 3)
+        report = verify_depth_compounding(spec, h=args.h)
     d = report.to_dict()
     print(
         f"{d['claim']:<24} rate {d['empirical_rate']:.4f}  bound {d['bound']:.4f}  "
@@ -478,6 +511,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not hasattr(args, "func"):
             raise UsageError("a subcommand is required")
+        if args.subcommand in _MODE_FLAGS:
+            _read_mode_flags(args)
         started = time.time()
         payload, inputs = args.func(args)
         report_path = _report_path(args)

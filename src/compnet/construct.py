@@ -466,12 +466,10 @@ def _report(
 # -- public algorithms -----------------------------------------------------
 
 
-def _ordered(pool, data, assume_ordered: bool) -> list[Component]:
+def _ordered(pool, data) -> list[Component]:
     pool = list(pool)
     if not pool:
         raise ConstructionError("component pool is empty")
-    if assume_ordered:
-        return pool
     losses = {
         c.id: component_loss(c, data, "train") for c in pool if c.kind == KIND_PRETRAINED
     }
@@ -504,12 +502,11 @@ def dbcn(
     pool,
     data: Dataset,
     cfg: ConstructionConfig | None = None,
-    assume_ordered: bool = False,
     allow_large: bool = False,
 ) -> ConstructionReport:
     """Greedy deep chain: one component per depth, then delta-pruning."""
     cfg = cfg or ConstructionConfig()
-    pool = _ordered(pool, data, assume_ordered)
+    pool = _ordered(pool, data)
     return _pruned_chain("dbcn", pool, 1, data, cfg, allow_large)
 
 
@@ -517,13 +514,12 @@ def bbcn(
     pool,
     data: Dataset,
     cfg: ConstructionConfig | None = None,
-    assume_ordered: bool = False,
     allow_large: bool = False,
 ) -> ConstructionReport:
     """Balanced pairwise merges of the first k0 (base) components, then
     the greedy chain over the remainder."""
     cfg = cfg or ConstructionConfig()
-    pool = _ordered(pool, data, assume_ordered)
+    pool = _ordered(pool, data)
     k0 = cfg.k0
     if k0 < 2:
         warnings.warn("k0 < 2: balanced stage degenerates to the greedy chain")
@@ -568,12 +564,11 @@ def exhaustive(
     cfg: ConstructionConfig | None = None,
     schedule=None,
     allow_large: bool = False,
-    assume_ordered: bool = False,
 ) -> ConstructionReport:
     """Train every frozen/open x activation combination at each merge of
     the schedule and keep the per-merge winner."""
     cfg = cfg or ConstructionConfig()
-    pool = _ordered(pool, data, assume_ordered)
+    pool = _ordered(pool, data)
     if schedule is None or schedule == "balanced":
         schedule = balanced_schedule(len(pool), cfg.k0)
     elif schedule == "chain":

@@ -35,7 +35,6 @@ class GridSpec:
     rows: int
     cols: int
     stations: list[tuple[int, int, str]] = field(default_factory=list)
-    features: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -70,7 +69,8 @@ def knn_impute(grid_values, spec: GridSpec | None = None, k: int = 4) -> np.ndar
     known_values = g[known_mask]  # argwhere and boolean indexing share C order
     for r, c in missing:
         d2 = (known[:, 0] - r) ** 2 + (known[:, 1] - c) ** 2
-        order = np.lexsort((known[:, 1], known[:, 0], d2))
+        # known is in (row, col) order, so a stable sort breaks ties by it
+        order = np.argsort(d2, kind="stable")
         out[r, c] = float(np.mean(known_values[order[:k]]))
     return out
 
@@ -122,6 +122,7 @@ def interpolate_time(series, step: int = 6) -> np.ndarray:
 # -- synthetic tasks -------------------------------------------------------
 
 _TEACHERS = ("linear", "mlp-teacher", "sum-of-experts")
+_MAX_RETRIES = 50
 
 
 @dataclass
@@ -262,12 +263,11 @@ def _rms(values: np.ndarray) -> float:
 def generate_synthetic(
     spec: SyntheticTaskSpec,
     train_fraction: float = 0.8,
-    max_retries: int = 50,
 ) -> tuple[Dataset, list[Component]]:
     """Teacher-labelled dataset plus graded pre-trained components.
 
     The returned ensemble passes the A1/A2 checks on the training split;
-    draws that violate them are regenerated up to ``max_retries`` times.
+    draws that violate them are regenerated up to ``_MAX_RETRIES`` times.
     """
     if not (0.0 < train_fraction <= 1.0):
         raise DataError("train_fraction must lie in (0, 1]")
@@ -288,7 +288,7 @@ def generate_synthetic(
     x_train = x[dataset.train_idx]
     y_train = labels[dataset.train_idx]
 
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         comps = [
             teacher.component(j, q, rng, x_train)
             for j, q in enumerate(spec.component_quality)
@@ -298,7 +298,7 @@ def generate_synthetic(
         if report.a1.holds and report.a2.holds:
             return dataset, comps
     raise DataError(
-        f"could not satisfy A1/A2 within {max_retries} retries; "
+        f"could not satisfy A1/A2 within {_MAX_RETRIES} retries; "
         "a component matches the labels exactly or outputs are dependent"
     )
 

@@ -156,15 +156,15 @@ class Component:
         rng: np.random.Generator,
         kind: str = KIND_PRETRAINED,
         role: str = ROLE_BASE,
-        hidden_activation: Activation = TANH,
         output_activation: Activation = LINEAR,
         input_columns=None,
     ) -> "Component":
-        """Fresh MLP with uniform(-a, a), a = sqrt(6/(fan_in+fan_out)) blocks."""
+        """Fresh MLP with uniform(-a, a), a = sqrt(6/(fan_in+fan_out)) blocks
+        and tanh hidden layers."""
         layers = []
         for i, (fi, fo) in enumerate(zip(dims, dims[1:])):
             a = np.sqrt(6.0 / (fi + fo))
-            act = output_activation if i == len(dims) - 2 else hidden_activation
+            act = output_activation if i == len(dims) - 2 else TANH
             layers.append(AffineLayer(rng.uniform(-a, a, size=(fi, fo)), np.zeros(fo), act))
         return cls(id, kind, role, layers, input_columns=input_columns)
 
@@ -339,8 +339,8 @@ def _children_of(node: Node) -> list[str]:
     return [node.child]
 
 
-def single_component_network(component_id: str, ref_id: str | None = None) -> CompositeNetwork:
-    rid = ref_id if ref_id is not None else f"ref:{component_id}"
+def single_component_network(component_id: str) -> CompositeNetwork:
+    rid = f"ref:{component_id}"
     return CompositeNetwork([ComponentRef(rid, component_id)], rid)
 
 

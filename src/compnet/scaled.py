@@ -3,15 +3,16 @@
 Two affine maps are fitted around a smooth activation so that the
 composite  outer(sigma(inner(g(x))))  tracks the linear optimum g(x)
 within a requested epsilon at every training point.  The inner map
-shrinks g's range into a small interval around the activation's
-expansion point; the outer map is the first-order expansion of the
-activation's inverse, so the curvature term is the only error left.
+shrinks g's range into a small interval around 0, where every smooth
+activation here has its steepest slope; the outer map is the
+first-order expansion of the activation's inverse, so the curvature
+term is the only error left.
 
 Construction mirrors the following recipe (floors at 1 keep the bound
 conservative; the curvature supremum carries a factor 5):
 
     m_g    = max(1, 2 * max_i |g(x_i)|)
-    m1     = max(1, 5 * sup |tau''(sigma(z))| * ((sigma(z)-y0)/(z-z0))^2)
+    m1     = max(1, 5 * sup |tau''(sigma(z))| * ((sigma(z)-y0)/z)^2)
     gamma  = min(gamma0, 2 ** -(ceil(log2(m_g * m1 / eps)) + 1))
     m0     = m_g / gamma
 
@@ -45,10 +46,8 @@ class ScaledWrapper:
     """Affine-sigma-affine sandwich calibrated for one combiner's outputs."""
 
     activation: Activation
-    z0: float
     y0: float
     m0: float
-    inner_bias: float
     outer_slope: float
     outer_bias: float
     gamma: float
@@ -61,25 +60,24 @@ class ScaledWrapper:
         return self.m0 * self.m1 * self.gamma * self.gamma
 
 
-def curvature_supremum(activation: Activation, z0: float | None = None) -> float:
-    """Factor-5 bound on the inverse's second-order term near z0.
+def curvature_supremum(activation: Activation) -> float:
+    """Factor-5 bound on the inverse's second-order term near 0.
 
-    Estimated on a dense grid over (z0 - r, z0 + r) with r the
-    activation's taylor_radius, plus the analytic z -> z0 limit.
+    Estimated on a dense grid over (-r, r) with r the activation's
+    taylor_radius, plus the analytic z -> 0 limit.
     """
-    z0 = activation.expansion_point if z0 is None else z0
-    key = (activation.tag, activation.scale, activation.out_range, z0)
+    key = (activation.tag, activation.scale, activation.out_range)
     if key in _supremum_cache:
         return _supremum_cache[key]
     r = activation.taylor_radius
-    z = np.linspace(z0 - r, z0 + r, _SUPREMUM_SAMPLES)
-    z = z[np.abs(z - z0) > r * 1e-9]
-    y0 = float(activation.value(z0))
+    z = np.linspace(-r, r, _SUPREMUM_SAMPLES)
+    z = z[np.abs(z) > r * 1e-9]
+    y0 = float(activation.value(0.0))
     y = activation.value(z)
-    quot = (y - y0) / (z - z0)
+    quot = (y - y0) / z
     vals = np.abs(activation.inverse_d2(y)) * quot * quot
-    # limit point: difference quotient tends to sigma'(z0)
-    d0 = float(activation.derivative(z0))
+    # limit point: difference quotient tends to sigma'(0)
+    d0 = float(activation.derivative(0.0))
     limit = abs(float(activation.inverse_d2(y0))) * d0 * d0
     sup = max(1.0, 5.0 * max(float(np.max(vals)), limit))
     _supremum_cache[key] = sup
@@ -106,16 +104,15 @@ def construct_wrapper(
     if g.size == 0 or not np.all(np.isfinite(g)):
         raise ScaledActivationError("combiner outputs must be non-empty and finite")
 
-    z0 = activation.expansion_point
-    d0 = float(activation.derivative(z0))
+    d0 = float(activation.derivative(0.0))
     if d0 < 1e-12:
-        raise ScaledActivationError(f"sigma'({z0}) is numerically zero")
-    y0 = float(activation.value(z0))
+        raise ScaledActivationError("sigma'(0) is numerically zero")
+    y0 = float(activation.value(0.0))
     tau1 = float(activation.inverse_d1(y0))
 
     gamma0 = activation.taylor_radius
     m_g = max(1.0, 2.0 * float(np.max(np.abs(g))))
-    m1 = curvature_supremum(activation, z0)
+    m1 = curvature_supremum(activation)
 
     if gamma is None:
         m_gamma = np.ceil(np.log2(m_g * m1 / epsilon)) + 1.0
@@ -131,30 +128,26 @@ def construct_wrapper(
 
     wrapper = ScaledWrapper(
         activation=activation,
-        z0=z0,
         y0=y0,
         m0=m0,
-        inner_bias=z0,
         outer_slope=m0 * tau1,
-        outer_bias=m0 * (z0 - tau1 * y0),
+        outer_bias=-m0 * tau1 * y0,
         gamma=gamma,
         m1=m1,
         epsilon=epsilon,
         calibrated_abs_max=float(np.max(np.abs(g))),
     )
-    # every training point must land strictly inside (z0-gamma, z0+gamma)
-    inner = g / m0 + z0
-    if not np.all(np.abs(inner - z0) < gamma):
+    # every training point must land strictly inside (-gamma, gamma)
+    if not np.all(np.abs(g / m0) < gamma):
         raise ScaledActivationError("inner map leaves the calibrated interval")
     return wrapper
 
 
 def apply_wrapper(wrapper: ScaledWrapper, g_star_value):
-    """outer_slope * sigma(value / m0 + z0) + outer_bias.
+    """outer_slope * sigma(value / m0) + outer_bias.
 
-    Evaluated in centered form,
-    outer_slope * (sigma(z0 + delta) - y0) + m0 * z0,
-    which is the same function but keeps precision when delta is tiny.
+    Evaluated in centered form, outer_slope * (sigma(value / m0) - y0),
+    which is the same function but keeps precision when value / m0 is tiny.
     """
     value = np.asarray(g_star_value, dtype=float)
     if np.any(np.abs(value) > wrapper.calibrated_abs_max):
@@ -164,12 +157,10 @@ def apply_wrapper(wrapper: ScaledWrapper, g_star_value):
             stacklevel=2,
         )
     if wrapper.activation.tag == "linear":
-        # the sandwich collapses to tau'(y0) * value + m0 * z0 exactly
-        out = wrapper.activation.inverse_d1(wrapper.y0) * value + wrapper.m0 * wrapper.z0
+        # the sandwich collapses to tau'(y0) * value exactly
+        out = wrapper.activation.inverse_d1(wrapper.y0) * value
     else:
-        delta = value / wrapper.m0
-        centered = wrapper.activation.centered_value(delta)
-        out = wrapper.outer_slope * centered + wrapper.m0 * wrapper.z0
+        out = wrapper.outer_slope * wrapper.activation.centered_value(value / wrapper.m0)
     if out.ndim == 0:
         return float(out)
     return out

@@ -25,12 +25,6 @@ class TestOrthogonality:
         assert report.satisfied
         assert report.details["c"] > 0
 
-    def test_equal_vectors_excluded(self):
-        u = np.array([1.0, 2.0, 3.0, 4.0])
-        assert not cn.near_perpendicular(u, u, eta=0.5)
-        v = np.array([-2.0, 1.0, 0.0, 0.0])  # orthogonal to u's first two coords
-        assert cn.near_perpendicular(u, v, eta=0.1)
-
     def test_small_n_flagged(self):
         report = cn.verify_orthogonality(cn.TrialSpec(n=4, k=0, trials=500, seed=1))
         assert "large N required" in report.details["flags"]

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import compnet as cn
 from compnet.cli import build_parser, main, replay_manifest
 
 
@@ -41,6 +42,30 @@ class TestExitCodes:
     def test_success_is_0(self, capsys, tmp_path):
         assert main(["impute", "--demo", "--k", "2"]) == 0
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["compose", "dbcn"], "--k0"),
+            (["compose", "exhaustive", "--schedule", "chain"], "--k0"),
+            (["compose", "exhaustive"], "--delta"),
+            (["verify", "orthogonality"], "--k"),
+            (["verify", "orthogonality"], "--noise"),
+            (["verify", "scaled-activation"], "--trials"),
+            *(
+                (["verify", claim], flag)
+                for flag in ("--activation", "--epsilon")
+                for claim in ("theorem1", "prop1", "theorem2", "orthogonality")
+            ),
+        ],
+        ids=lambda v: "-".join(t.lstrip("-") for t in (v[1:] if isinstance(v, list) else [v])),
+    )
+    def test_flag_the_mode_does_not_read_is_usage_error(self, capsys, command, flag):
+        value = "logistic" if flag == "--activation" else "1"
+        inputs = ["--pool", "p.json", "--data", "d.csv"] if command[0] == "compose" else []
+        assert main([*command, *inputs, flag, value]) == 1
+        message = capsys.readouterr().err.splitlines()[0]
+        assert flag + " conflicts" in message and f"'{command[1]}" in message
+
 
 class TestHelp:
     def test_every_subcommand_flag_documented(self, capsys):
@@ -60,6 +85,18 @@ class TestHelp:
 
 
 class TestSynth:
+    def test_qualities_set_one_component_each(self, tmp_path, capsys):
+        out, rep = tmp_path / "q", tmp_path / "synth.json"
+        argv = ["synth", "--seed", "2", "--n", "80", "--d", "3", "--qualities", "0.05,0.4",
+                "--out", str(out), "--report", str(rep)]
+        assert main(argv) == 0
+        payload = json.loads(rep.read_text())
+        assert payload["task"]["component_quality"] == [0.05, 0.4]
+        losses = payload["component_train_losses"]
+        assert list(losses) == ["f1", "f2"] and losses["f1"] < losses["f2"]
+        bundle = json.loads((out / "components.json").read_text())
+        assert [c["id"] for c in bundle["components"]] == ["f1", "f2"]
+
     def test_byte_identical_datasets(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["synth", "--seed", "7", "--n", "120", "--k", "3", "--out", str(a)]) == 0
@@ -164,6 +201,23 @@ class TestCompose:
         err = capsys.readouterr().err
         assert "--schedule" in err and mode in err
 
+    def test_bbcn_validation_selection_front_runners(self, bundle, tmp_path, capsys):
+        rep = tmp_path / "bbcn.json"
+        code = main(
+            ["compose", "bbcn", "--pool", str(bundle / "components.json"),
+             "--data", str(bundle / "data.csv"), "--k0", "3", "--selection", "validation",
+             "--seed", "2", "--epochs", "20", "--patience", "5", "--report", str(rep)]
+        )
+        assert code == 0
+        payload = json.loads(rep.read_text())
+        assert payload["algorithm"] == "bbcn"
+        assert payload["selection_metric"] == "validation_loss"
+        for step in payload["steps"]:
+            best = min(step["candidates"], key=lambda c: c["test_loss"])
+            assert step["front_runner"] == best["description"]
+        manifest = json.loads((tmp_path / "bbcn.json.manifest.json").read_text())
+        assert manifest["config"]["k0"] == 3 and manifest["config"]["schedule"] is None
+
     def test_diverging_candidates_are_recorded_not_fatal(self, tmp_path, capsys):
         out = tmp_path / "b7"
         assert main(["synth", "--seed", "7", "--out", str(out)]) == 0
@@ -228,6 +282,38 @@ class TestVerifyCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+
+
+    @pytest.mark.parametrize(
+        "claim, flags",
+        [
+            ("theorem2", ["--n", "400", "--k", "3", "--h", "2", "--trials", "150"]),
+            ("orthogonality", ["--n", "10000", "--trials", "2000"]),
+        ],
+    )
+    def test_claim_satisfied(self, capsys, tmp_path, claim, flags):
+        rep = tmp_path / "v.json"
+        assert main(["verify", claim, *flags, "--seed", "1", "--report", str(rep)]) == 0
+        assert "SATISFIED" in capsys.readouterr().out
+        assert json.loads(rep.read_text())["satisfied"] is True
+
+
+class TestParseActivation:
+    @pytest.mark.parametrize(
+        "token, expected",
+        [
+            ("tanh", cn.TANH),
+            ("relu", cn.RELU),
+            ("scaled-logistic:3:2", cn.Activation("scaled-logistic", scale=3.0, out_range=2.0)),
+        ],
+    )
+    def test_tokens(self, token, expected):
+        assert cn.parse_activation(token) == expected
+
+    @pytest.mark.parametrize("token", ["scaled-logistic:3", "softplus"])
+    def test_bad_token_rejected(self, token):
+        with pytest.raises(ValueError, match="cannot parse"):
+            cn.parse_activation(token)
 
 
 class TestImpute:

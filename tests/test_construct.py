@@ -185,11 +185,11 @@ class TestBbcn:
         with pytest.raises(cn.ConstructionError):
             cn.bbcn(comps[:2], data, _fast_cfg(k0=5))
 
-    def test_non_base_in_prefix_rejected(self, task):
+    def test_non_base_in_prefix_rejected(self, task, rng):
         data, comps = task
-        aux = _comp("aux", cn.KIND_PRETRAINED, cn.ROLE_AUX)
+        aux = cn.Component.mlp("aux", [5, 1], rng, role=cn.ROLE_AUX)
         with pytest.raises(cn.ConstructionError, match="base"):
-            cn.bbcn([comps[0], aux], data, _fast_cfg(k0=2), assume_ordered=True)
+            cn.bbcn([comps[0], aux], data, _fast_cfg(k0=2))
 
 
 class TestExhaustive:
@@ -207,7 +207,7 @@ class TestExhaustive:
         data, comps = task
         rng = np.random.default_rng(9)
         open_comp = cn.Component.mlp("fW", [5, 3, 1], rng, kind=cn.KIND_OPEN, role=cn.ROLE_AUX)
-        report = cn.exhaustive([comps[0], open_comp], data, _fast_cfg(k0=2), assume_ordered=True)
+        report = cn.exhaustive([comps[0], open_comp], data, _fast_cfg(k0=2))
         descs = [c.description for c in report.steps[0].candidates]
         assert len(descs) == 4
         assert all("fW^o" in d for d in descs)
@@ -269,9 +269,9 @@ class TestCandidateGuard:
 
         monkeypatch.setattr("compnet.construct.train", refuse_training)
         with pytest.raises(cn.ConstructionError, match="guard"):
-            build(many, data, cfg, assume_ordered=True)
+            build(many, data, cfg)
         with pytest.raises(Trained):
-            build(many, data, cfg, assume_ordered=True, allow_large=True)
+            build(many, data, cfg, allow_large=True)
 
 
 class TestSchedules:

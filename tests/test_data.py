@@ -33,15 +33,19 @@ class TestKnnImpute:
         g[0, 1], g[1, 0], g[1, 2], g[2, 1] = 1.0, 2.0, 3.0, 4.0
         assert cn.knn_impute(g, k=4)[1, 1] == 2.5
 
-    def test_matches_brute_force_oracle_on_random_grids(self):
+    @pytest.mark.parametrize("k", [1, 3, 4, 6], ids=lambda k: f"k{k}")
+    @pytest.mark.parametrize(
+        "shape", [(5, 5), (3, 8), (8, 3), (1, 9)], ids=lambda s: f"{s[0]}x{s[1]}"
+    )
+    def test_matches_brute_force_oracle_on_random_grids(self, shape, k):
         rng = np.random.default_rng(7)
         for _ in range(100):
-            g = rng.normal(size=(5, 5))
-            mask = rng.random((5, 5)) < 0.4
+            g = rng.normal(size=shape)
+            mask = rng.random(shape) < 0.4
             g[mask] = np.nan
-            if np.isfinite(g).sum() < 4:
+            if np.isfinite(g).sum() < k:
                 continue
-            np.testing.assert_array_equal(cn.knn_impute(g, k=4), _brute_force_impute(g, 4))
+            np.testing.assert_array_equal(cn.knn_impute(g, k=k), _brute_force_impute(g, k))
 
     def test_too_few_known_cells(self):
         g = np.full((3, 3), np.nan)
@@ -136,7 +140,7 @@ class TestGenerateSynthetic:
             component_quality=(0.0,), seed=1,
         )
         with pytest.raises(cn.DataError, match="A1/A2|retries"):
-            cn.generate_synthetic(spec, max_retries=5)
+            cn.generate_synthetic(spec)
 
     def test_seed_determinism(self):
         spec = cn.SyntheticTaskSpec(n=60, d=3, m=2, component_quality=(0.2, 0.4), seed=9)

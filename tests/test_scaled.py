@@ -100,7 +100,7 @@ class TestApply:
     def test_matches_uncentred_formula(self, rng):
         g = rng.uniform(-10.0, 10.0, size=60)
         w = cn.construct_wrapper(g, cn.TANH, 0.05)
-        direct = w.outer_slope * w.activation.value(g / w.m0 + w.z0) + w.outer_bias
+        direct = w.outer_slope * w.activation.value(g / w.m0) + w.outer_bias
         np.testing.assert_allclose(np.asarray(cn.apply_wrapper(w, g)), direct, atol=1e-9)
 
 

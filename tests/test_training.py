@@ -45,6 +45,46 @@ class TestGradients:
             assert grad[i] == pytest.approx(num, rel=1e-5, abs=1e-7)
         cn.set_parameters(net, reg, layout, w0)
 
+    def test_matches_central_differences_with_shared_nodes(self, rng):
+        """Fan-out (``act`` feeds both combines), a width-1 child in a
+        width-2 combine, and one opened component referenced twice; a
+        trained combine under ``act`` makes its adjoint count."""
+        x = rng.normal(size=(24, 3))
+        y = rng.normal(size=(24, 2))
+        reg = {
+            "a": cn.Component.mlp("a", [3, 4, 2], rng, kind=cn.KIND_OPEN, role=cn.ROLE_AUX),
+            "b": cn.Component.mlp("b", [3, 1], rng),
+        }
+        net = cn.CompositeNetwork(
+            [
+                cn.ComponentRef("ra1", "a"),
+                cn.ComponentRef("rb", "b"),
+                cn.Combine("inner", ["rb"], np.array([0.3, -0.8])),
+                cn.Activate("act", "inner", cn.TANH),
+                cn.Combine("mix1", ["ra1", "act"], np.array([0.1, 0.7, -0.4])),
+                cn.ComponentRef("ra2", "a"),
+                cn.Combine("mix2", ["mix1", "ra2", "act"], np.array([-0.2, 0.9, 0.3, 0.5])),
+            ],
+            "mix2",
+        )
+        layout = cn.parameter_layout(net, reg)
+        assert [(cid, li) for cid, li, *_ in layout.blocks] == [("a", 0), ("a", 1)]
+        grad = cn.gradients(net, reg, x, y)
+        w0 = cn.get_parameters(net, reg, layout)
+
+        def loss_at(w):
+            cn.set_parameters(net, reg, layout, w)
+            return float(np.sum((cn.evaluate(net, reg, x) - y) ** 2) / x.shape[0])
+
+        h = 1e-6
+        num = np.empty(layout.size)
+        for i in range(layout.size):
+            wp, wm = w0.copy(), w0.copy()
+            wp[i] += h
+            wm[i] -= h
+            num[i] = (loss_at(wp) - loss_at(wm)) / (2 * h)
+        np.testing.assert_allclose(grad, num, rtol=1e-6, atol=1e-8)
+
     def test_frozen_blocks_have_no_gradient_entries(self, small_task):
         data, comps = small_task
         reg = cn.registry(comps)
@@ -156,6 +196,32 @@ class TestTrain:
         cfg = cn.TrainConfig(learning_rate=1e6, max_epochs=50, seed=0)
         with pytest.raises(cn.TrainingError, match="diverged at epoch"):
             cn.train(net, cn.registry(comps), data, cfg)
+
+    def test_non_finite_frozen_node_reported_as_divergence(self, small_task):
+        """A frozen node that overflows is found from the values cached
+        before the first epoch, and named as ``evaluate`` names it; the
+        saturated activation above it keeps the gradients finite."""
+        data, _ = small_task
+        # one non-zero weight, so rows overflow to +-inf and never to nan
+        weights = np.zeros((5, 1))
+        weights[0] = 1e308
+        big = cn.Component(
+            "big", cn.KIND_PRETRAINED, cn.ROLE_BASE, [cn.AffineLayer(weights, np.zeros(1), cn.LINEAR)]
+        )
+        net = cn.CompositeNetwork(
+            [
+                cn.ComponentRef("r", "big"),
+                cn.Activate("sq", "r", cn.SL),
+                cn.Combine("mix", ["sq"], np.array([0.0, 0.5])),
+            ],
+            "mix",
+        )
+        with pytest.raises(cn.EvaluationError) as evaluated:
+            cn.evaluate(net, {"big": big}, data.inputs)
+        assert evaluated.value.node_id == "r"
+        with pytest.raises(cn.TrainingError) as trained:
+            cn.train(net, {"big": big}, data, cn.TrainConfig(max_epochs=3, seed=0))
+        assert str(trained.value) == "diverged at epoch 0: node 'r': non-finite value produced"
 
     def test_batch_size_validated_against_split(self, small_task):
         data, comps = small_task
