@@ -242,19 +242,16 @@ class CompositeNetwork:
         if len(set(ids)) != len(ids):
             raise ModelError("duplicate node ids")
         seen: set[str] = set()
-        consumed: set[str] = set()
         for n in nodes:
             for c in _children_of(n):
                 if c not in seen:
                     raise ModelError(f"node {n.id!r} references {c!r} before it is defined")
-                consumed.add(c)
             seen.add(n.id)
         if root not in seen:
             raise ModelError(f"root {root!r} is not a node")
         self.nodes = nodes
         self.root = root
         self._by_id = {n.id: n for n in nodes}
-        self._consumed = consumed  # ids that some node takes as a child
 
     def node(self, node_id: str) -> Node:
         return self._by_id[node_id]
@@ -358,21 +355,19 @@ def node_values(
 
     ``traces`` (optional, output) maps each component-reference node id
     to its per-layer trace (see ``Component.forward``).  ``known``
-    (optional) gives precomputed values for some nodes, one row per input
-    row; those nodes are not recomputed, and nodes that only they consume
-    are skipped and left out of the result.
+    (optional) gives precomputed values for some nodes; those nodes are
+    not computed, and their values are returned as given.
 
     A numpy ``FloatingPointError`` (raised when the caller runs this under
     ``np.errstate(..., "raise")``) becomes an ``EvaluationError`` naming the
     first non-finite node so far, or else the node being computed.
     """
     inputs = np.asarray(inputs, dtype=float)
-    skip = _only_feeding(net, known) if known else set()
+    known = known or {}
     values: dict[str, np.ndarray] = {}
     for node in net.nodes:
-        if node.id in skip:
-            if node.id in known:
-                values[node.id] = known[node.id]
+        if node.id in known:
+            values[node.id] = known[node.id]
             continue
         try:
             if isinstance(node, ComponentRef):
@@ -397,38 +392,38 @@ def node_values(
     return values
 
 
-def _only_feeding(net: CompositeNetwork, known) -> set[str]:
-    """The ``known`` nodes plus every node that only skipped nodes consume."""
-    needed: set[str] = set()
-    skip: set[str] = set()
-    for node in reversed(net.nodes):
-        if node.id in known or (node.id in net._consumed and node.id not in needed):
-            skip.add(node.id)
-        elif isinstance(node, Combine):
-            needed.update(node.children)
-        elif isinstance(node, Activate):
-            needed.add(node.child)
-    return skip
-
-
 def evaluate(
     net: CompositeNetwork,
     components: dict[str, Component],
     inputs: np.ndarray,
+    known: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Evaluate the root node on every input row.
 
     Every node is checked, not just the root, so a non-finite value that a
     saturating activation hides is still reported at the node that made it.
     numpy overflow and invalid operations end in that error too, not in a
-    printed warning.
+    printed warning.  The nodes that ``known`` names are the exception:
+    their given values are neither computed (see ``node_values``) nor
+    checked.
     """
+    return _checked_values(net, components, inputs, known)[net.root]
+
+
+def _checked_values(
+    net: CompositeNetwork,
+    components: dict[str, Component],
+    inputs: np.ndarray,
+    known: dict[str, np.ndarray] | None = None,
+) -> dict[str, np.ndarray]:
+    """``node_values`` with ``evaluate``'s checks."""
+    known = known or {}
     with np.errstate(over="raise", invalid="raise"):
-        values = node_values(net, components, inputs)
+        values = node_values(net, components, inputs, known=known)
     for node in net.nodes:
-        if not np.all(np.isfinite(values[node.id])):
+        if node.id not in known and not np.all(np.isfinite(values[node.id])):
             raise EvaluationError("non-finite value produced", node.id)
-    return values[net.root]
+    return values
 
 
 @dataclass

@@ -21,6 +21,7 @@ which guarantees  m0 * m1 * gamma^2 < eps.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -30,7 +31,6 @@ from .activations import Activation, SL  # noqa: F401  (SL preset re-exported)
 from .model import residual_loss
 
 _SUPREMUM_SAMPLES = 100_000
-_supremum_cache: dict[tuple, float] = {}
 
 
 class ScaledActivationError(ValueError):
@@ -60,15 +60,13 @@ class ScaledWrapper:
         return self.m0 * self.m1 * self.gamma * self.gamma
 
 
+@functools.cache
 def curvature_supremum(activation: Activation) -> float:
     """Factor-5 bound on the inverse's second-order term near 0.
 
     Estimated on a dense grid over (-r, r) with r the activation's
     taylor_radius, plus the analytic z -> 0 limit.
     """
-    key = (activation.tag, activation.scale, activation.out_range)
-    if key in _supremum_cache:
-        return _supremum_cache[key]
     r = activation.taylor_radius
     z = np.linspace(-r, r, _SUPREMUM_SAMPLES)
     z = z[np.abs(z) > r * 1e-9]
@@ -79,9 +77,7 @@ def curvature_supremum(activation: Activation) -> float:
     # limit point: difference quotient tends to sigma'(0)
     d0 = float(activation.derivative(0.0))
     limit = abs(float(activation.inverse_d2(y0))) * d0 * d0
-    sup = max(1.0, 5.0 * max(float(np.max(vals)), limit))
-    _supremum_cache[key] = sup
-    return sup
+    return max(1.0, 5.0 * max(float(np.max(vals)), limit))
 
 
 def construct_wrapper(

@@ -21,6 +21,8 @@ from .model import (
     Dataset,
     EvaluationError,
     _children_of,
+    _checked_values,
+    evaluate,
     node_values,
     residual_loss,
 )
@@ -156,9 +158,10 @@ def gradients(
 
     The flat order matches ``parameter_layout``: combine thetas in
     postorder, then unfrozen component blocks in first-reference order.
-    ``known`` (optional) gives the batch rows of nodes that no parameter
-    in the layout moves (see ``node_values``); the backward pass stops
-    at them.
+    ``known`` (optional) gives the values of nodes that no parameter in
+    the layout moves (see ``node_values``); the backward pass stops at
+    them, so only those that computed nodes read, and the root, need the
+    batch's rows.
     """
     if layout is None:
         layout = parameter_layout(net, components)
@@ -243,20 +246,19 @@ def _accumulate(adjoint: dict, key: str, value: np.ndarray) -> None:
 
 @dataclass
 class _Split:
-    """One dataset split inside one ``train`` call: its rows, the values of
-    the frozen nodes that live nodes consume, and which frozen nodes are
-    finite.  Frozen nodes depend on no trained parameter, so they are
-    computed and checked once."""
+    """One dataset split inside one ``train`` call: its rows and the values
+    of every frozen node.  Frozen nodes depend on no trained parameter, so
+    they are computed and checked once."""
 
     inputs: np.ndarray
     labels: np.ndarray
     known: dict[str, np.ndarray]
-    finite: dict[str, bool]
 
 
-def _frozen_frontier(net: CompositeNetwork, layout: ParamLayout) -> tuple[set[str], set[str]]:
+def _frozen_nodes(net: CompositeNetwork, layout: ParamLayout) -> tuple[set[str], set[str]]:
     """Frozen nodes (no trained combine or opened component in their
-    subtree) and the frozen nodes that live nodes consume."""
+    subtree), and those a batch reads: the ones live nodes consume, and
+    the root."""
     trained = {cid for cid, *_ in layout.combines}
     opened = {cid for cid, *_ in layout.blocks}
     live: set[str] = set()
@@ -270,27 +272,20 @@ def _frozen_frontier(net: CompositeNetwork, layout: ParamLayout) -> tuple[set[st
         if is_live:
             live.add(node.id)
     frozen = {node.id for node in net.nodes} - live
-    feeds_live = {c for node in net.nodes if node.id in live for c in _children_of(node)}
-    return frozen, frozen & feeds_live
+    read = {c for node in net.nodes if node.id in live for c in _children_of(node)}
+    return frozen, frozen & (read | {net.root})
 
 
-def _cache_split(net, components, frozen, frontier, inputs, labels) -> _Split:
-    values = node_values(net, components, inputs)
-    finite = {nid: bool(np.all(np.isfinite(values[nid]))) for nid in frozen}
-    return _Split(inputs, labels, {nid: values[nid] for nid in frontier}, finite)
-
-
-def _split_loss(net, components, split: _Split) -> float:
-    """``loss_l2`` of the split, recomputing only live nodes; the first
-    non-finite node in postorder is reported as ``evaluate`` reports it."""
-    values = node_values(net, components, split.inputs, known=split.known)
-    for node in net.nodes:
-        ok = split.finite.get(node.id)
-        if ok is None:
-            ok = np.all(np.isfinite(values[node.id]))
-        if not ok:
-            raise EvaluationError("non-finite value produced", node.id)
-    return residual_loss(values[net.root], split.labels)
+def _cache_split(net, components, frozen, inputs, labels) -> _Split:
+    # frozen nodes have only frozen children, so they make a network of
+    # their own, which is checked as ``evaluate`` checks every node
+    nodes = [node for node in net.nodes if node.id in frozen]
+    try:
+        sub = CompositeNetwork(nodes, nodes[-1].id) if nodes else None
+        known = _checked_values(sub, components, inputs) if sub else {}
+    except EvaluationError as exc:
+        raise TrainingError(f"diverged at epoch 0: {exc}") from exc
+    return _Split(inputs, labels, known)
 
 
 def train(
@@ -304,9 +299,12 @@ def train(
 
     Frozen blocks of the input are never modified (the returned copy
     carries bit-identical frozen weights).  Frozen subtrees are evaluated
-    once per split; every batch and every epoch loss recomputes only the
-    nodes above them.  Divergence is reported as a ``TrainingError``, so
-    numpy overflow warnings are silenced here.
+    and checked as ``evaluate`` checks them once per split, so a frozen
+    node that ``evaluate`` rejects ends training before the first batch;
+    every batch and every epoch loss recomputes only the nodes above them.
+    Epoch losses are ``evaluate``'s.  Divergence is
+    reported as a ``TrainingError``, so numpy overflow warnings are
+    silenced here.
     """
     net = net.copy()
     components = {k: c.copy() for k, c in components.items()}
@@ -327,9 +325,9 @@ def train(
     stale = 0
 
     with np.errstate(over="ignore", invalid="ignore"):
-        frozen, frontier = _frozen_frontier(net, layout)
+        frozen, read = _frozen_nodes(net, layout)
         train_split, test_split = (
-            _cache_split(net, components, frozen, frontier, data.inputs[idx], data.labels[idx])
+            _cache_split(net, components, frozen, data.inputs[idx], data.labels[idx])
             if idx.size
             else None
             for idx in (data.train_idx, data.test_idx)
@@ -339,7 +337,8 @@ def train(
             perm = rng.permutation(n_train)
             for start in range(0, n_train, cfg.batch_size):
                 idx = perm[start : start + cfg.batch_size]
-                known = {nid: v[idx] for nid, v in train_split.known.items()}
+                # the other frozen nodes keep the split's rows: nothing reads them
+                known = {**train_split.known, **{nid: train_split.known[nid][idx] for nid in read}}
                 try:
                     grad = gradients(
                         net,
@@ -355,8 +354,12 @@ def train(
                 params = get_parameters(net, components, layout) + velocity
                 set_parameters(net, components, layout, params)
             try:
-                train_loss = _split_loss(net, components, train_split)
-                test_loss = _split_loss(net, components, test_split) if test_split else float("nan")
+                train_loss, test_loss = (
+                    residual_loss(evaluate(net, components, split.inputs, split.known), split.labels)
+                    if split
+                    else float("nan")
+                    for split in (train_split, test_split)
+                )
             except EvaluationError as exc:
                 raise TrainingError(f"diverged at epoch {epoch}: {exc}") from exc
             if not np.isfinite(train_loss):

@@ -197,14 +197,17 @@ class TestTrain:
         with pytest.raises(cn.TrainingError, match="diverged at epoch"):
             cn.train(net, cn.registry(comps), data, cfg)
 
-    def test_non_finite_frozen_node_reported_as_divergence(self, small_task):
+    @pytest.mark.parametrize("n_big", [1, 5], ids=["inf", "nan"])
+    def test_non_finite_frozen_node_reported_as_divergence(self, small_task, n_big):
         """A frozen node that overflows is found from the values cached
-        before the first epoch, and named as ``evaluate`` names it; the
-        saturated activation above it keeps the gradients finite."""
+        before the first batch, and named as ``evaluate`` names it.  Its
+        inf rows saturate in the activation above it and leave the
+        gradients finite; its nan rows do not."""
         data, _ = small_task
-        # one non-zero weight, so rows overflow to +-inf and never to nan
+        # one non-zero weight overflows rows to +-inf; with five, +inf
+        # and -inf terms also meet and give nan
         weights = np.zeros((5, 1))
-        weights[0] = 1e308
+        weights[:n_big] = 1e308
         big = cn.Component(
             "big", cn.KIND_PRETRAINED, cn.ROLE_BASE, [cn.AffineLayer(weights, np.zeros(1), cn.LINEAR)]
         )
@@ -222,6 +225,39 @@ class TestTrain:
         with pytest.raises(cn.TrainingError) as trained:
             cn.train(net, {"big": big}, data, cn.TrainConfig(max_epochs=3, seed=0))
         assert str(trained.value) == "diverged at epoch 0: node 'r': non-finite value produced"
+
+    @pytest.mark.parametrize("kind", [cn.KIND_OPEN, cn.KIND_PRETRAINED], ids=["open", "pretrained"])
+    def test_overflow_hidden_by_saturation_ends_training(self, small_task, kind):
+        """A component whose frozen tanh layer overflows has a finite
+        output, because tanh saturates; ``evaluate`` still rejects it, and
+        so does ``train``: at the first epoch loss when the component is
+        opened, and before the first batch when it is wholly frozen."""
+        data, comps = small_task
+        reg = cn.registry(comps)
+        weights = np.zeros((5, 4))
+        weights[0] = 1e308  # rows overflow to +-inf, never to nan
+        layers = [
+            cn.AffineLayer(weights, np.zeros(4), cn.TANH),
+            cn.AffineLayer(np.full((4, 1), 0.1), np.zeros(1), cn.LINEAR),
+        ]
+        frozen = [True, kind == cn.KIND_PRETRAINED]
+        reg["o"] = cn.Component("o", kind, cn.ROLE_AUX, layers, frozen=frozen)
+        net = cn.CompositeNetwork(
+            [
+                cn.ComponentRef("r1", "f1"),
+                cn.ComponentRef("ro", "o"),
+                cn.Combine("mix", ["r1", "ro"], np.array([0.0, 0.5, 0.5])),
+            ],
+            "mix",
+        )
+        with np.errstate(over="ignore"):
+            assert np.all(np.isfinite(cn.node_values(net, reg, data.inputs)["ro"]))
+        with pytest.raises(cn.EvaluationError) as evaluated:
+            cn.evaluate(net, reg, data.inputs)
+        assert evaluated.value.node_id == "ro"
+        with pytest.raises(cn.TrainingError) as trained:
+            cn.train(net, reg, data, cn.TrainConfig(max_epochs=3, seed=0))
+        assert str(trained.value) == "diverged at epoch 0: node 'ro': non-finite value produced"
 
     def test_batch_size_validated_against_split(self, small_task):
         data, comps = small_task
@@ -305,6 +341,16 @@ def _oracle_case(name, comps):
         ]
         reg["n"] = cn.Component("n", cn.KIND_OPEN, cn.ROLE_AUX, layers, frozen=[True, False])
         return _chain(["f1", "f2", "n"], cn.SL, cn.LINEAR), reg, {"mix2", "r2"}
+    if name == "frozen-fan-out":
+        nodes = [*_chain(["f1", "f2"], cn.SL, cn.SL).nodes, cn.ComponentRef("r2", "f3")]
+        nodes.append(cn.Combine("left", ["act1", "r2"], np.array([0.0, 0.5, 0.5])))
+        nodes.append(cn.Combine("right", ["act1", "r0"], np.array([0.1, 0.7, 0.2])))
+        nodes.append(cn.Combine("top", ["left", "right"], np.array([0.0, 0.5, 0.5])))
+        return cn.CompositeNetwork(nodes, "top"), reg, {"left", "right"}
+    if name == "frozen-root":
+        chain = _chain(chain, cn.SL, cn.SL)
+        side = cn.Combine("side", ["r1", "act2"], np.array([0.0, 0.5, 0.5]))
+        return cn.CompositeNetwork([*chain.nodes, side], chain.root), reg, {"side"}
     return _chain(["f1", "f2", "f3"], cn.SL, cn.SL), reg, None  # every combine trains
 
 
@@ -316,6 +362,8 @@ class TestCachedTraining:
             "frozen-chain-sl",
             "cached-and-open-merge",
             "non-instantiated",
+            "frozen-fan-out",
+            "frozen-root",
             "all-trainable",
         ],
     )
