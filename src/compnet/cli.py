@@ -92,12 +92,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", parents=[], help="generate a synthetic task bundle", add_help=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=400, help="number of rows")
-    p.add_argument("--k", type=int, default=3, help="number of graded components")
+    p.add_argument("--k", type=int, help="number of graded components (default 3)")
     p.add_argument("--d", type=int, default=6, help="input features")
     p.add_argument("--m", type=int, default=1, help="label width")
     p.add_argument("--teacher", default="mlp-teacher", choices=["linear", "mlp-teacher", "sum-of-experts"])
     p.add_argument("--noise", type=float, default=0.0, help="label noise standard deviation")
-    p.add_argument("--qualities", default=None, help="comma list of perturbation levels (overrides --k)")
+    p.add_argument("--qualities", default=None, help="comma list of perturbation levels, one per component")
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--out", required=True, help="output directory for the bundle")
     p.add_argument("--report", default=None)
@@ -247,10 +247,14 @@ def replay_manifest(manifest_path, report_path=None) -> int:
 
 
 def _cmd_synth(args):
-    if args.qualities is not None:
-        qualities = tuple(float(tok) for tok in args.qualities.split(","))
-    else:
+    if args.qualities is None:
+        if args.k is None:
+            args.k = 3  # so the manifest records the count used
         qualities = tuple(0.1 * (i + 1) for i in range(args.k))
+    elif args.k is not None:
+        raise UsageError("--k conflicts with --qualities: pass at most one of them")
+    else:
+        qualities = tuple(float(tok) for tok in args.qualities.split(","))
     spec = SyntheticTaskSpec(
         n=args.n,
         d=args.d,

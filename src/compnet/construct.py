@@ -216,14 +216,13 @@ def _fit(
     comps = {**left.comps, **right.comps}
     trainable = {mix.id} | {ref.id for ref in net.ref_nodes() if ref.component in opened}
     size = parameter_layout(net, comps, trainable).size
+    total = count_parameters(net, comps)["total"]
     tcfg = replace(cfg.train_cfg, seed=_derive_seed(cfg.train_cfg.seed, seed_key))
     try:
         result = train(net, comps, data, tcfg, trainable_nodes=trainable)
     except TrainingError as exc:
-        total = count_parameters(net, comps)["total"]
         return None, CandidateRecord(description, math.inf, math.inf, size, total), str(exc)
     last = result.history[-1]
-    total = count_parameters(result.net, result.components)["total"]
     record = CandidateRecord(
         description, last.train_loss, last.test_loss, size, total, result.history
     )
@@ -233,29 +232,23 @@ def _fit(
 def _select(
     label: str, outcomes: list, cfg: ConstructionConfig
 ) -> tuple[_State, StepRecord, list[str]]:
-    """The winning state of one merge, its step record and the notes on
-    failed candidates."""
-    records = [rec for _, rec, _ in outcomes]
+    """The winning state of one merge (the first candidate with the lowest
+    selection metric), its step record and the notes on failed candidates."""
+    metric = cfg.selection_metric
+    trained = [(state, rec) for state, rec, err in outcomes if err is None]
+    if any(np.isnan(rec.metric(metric)) for _, rec in trained):
+        raise ConstructionError(
+            f"{label}: selection metric {metric!r} is undefined (empty test split?)"
+        )
+    if not trained:
+        raise ConstructionError(f"{label}: every candidate failed training")
+    state, best = min(trained, key=lambda pair: pair[1].metric(metric))
     notes = [
         f"{label}: candidate {rec.description} failed training: {err}"
         for (_, rec, err) in outcomes
         if err is not None
     ]
-    best = None
-    for state, rec, err in outcomes:
-        if err is not None:
-            continue
-        if np.isnan(rec.metric(cfg.selection_metric)):
-            raise ConstructionError(
-                f"{label}: selection metric {cfg.selection_metric!r} is undefined "
-                "(empty test split?)"
-            )
-        if best is None or rec.metric(cfg.selection_metric) < best[1].metric(cfg.selection_metric):
-            best = (state, rec)
-    if best is None:
-        raise ConstructionError(f"{label}: every candidate failed training")
-    state, rec = best
-    return state, StepRecord(label, records, rec.description), notes
+    return state, StepRecord(label, [rec for _, rec, _ in outcomes], best.description), notes
 
 
 def _prune_index(metric_values: list[float], delta: float) -> int:
@@ -275,53 +268,51 @@ def _prune_index(metric_values: list[float], delta: float) -> int:
 
 
 @dataclass(eq=False)
-class _Merge:
-    """One merge of a plan.  A plan is a list of merges in run order,
-    operands before the merges that use them, with a dict that names
-    every operand for candidate descriptions.  Operands are pool indices
-    or earlier merges (standing for their winners); merges hash by
-    identity."""
+class _Operand:
+    """An operand of a merge plan: a pool leaf or a merge of two earlier
+    operands.  A plan is a list of merges in run order, operands before
+    the merges that use them; operands hash by identity."""
 
-    left: int | _Merge
-    right: int | _Merge
-    level: int  # height in the merge tree; pool leaves are level 0
+    name: str  # in candidate descriptions
+    state: _State | None  # a leaf's component state; a merge's winner once run
+    fresh: bool = False  # a leaf holding a non-instantiated component
+    left: _Operand | None = None
+    right: _Operand | None = None
+    level: int = 0  # height in the merge tree; pool leaves are level 0
     label: str = ""
     seed_prefix: str = ""
     notes: list[str] = field(default_factory=list)  # recorded after the step
 
 
-def _level(operand) -> int:
-    return 0 if isinstance(operand, int) else operand.level
-
-
-def _merges(tree, count: int) -> list[_Merge]:
+def _merges(tree, leaves: list[_Operand]) -> list[_Operand]:
     """The merges of a schedule tree in postorder; the tree's leaves must
-    be the pool indices 0..count-1, each exactly once."""
-    merges: list[_Merge] = []
+    be the indices of ``leaves``, each exactly once."""
+    merges: list[_Operand] = []
     seen: set[int] = set()
 
-    def visit(node):
+    def visit(node) -> _Operand:
         if isinstance(node, int):
-            if node in seen or not 0 <= node < count:
+            if node in seen or not 0 <= node < len(leaves):
                 raise ConstructionError("schedule must cover every pool index exactly once")
             seen.add(node)
-            return node
+            return leaves[node]
         if not (isinstance(node, (tuple, list)) and len(node) == 2):
             raise ConstructionError(
                 f"schedule node {node!r} is neither a pool index nor a pair of subtrees"
             )
         left, right = visit(node[0]), visit(node[1])
-        merges.append(_Merge(left, right, 1 + max(_level(left), _level(right))))
+        level = 1 + max(left.level, right.level)
+        merges.append(_Operand("", None, left=left, right=right, level=level))
         return merges[-1]
 
     visit(tree)
-    if len(seen) != count:
+    if len(seen) != len(leaves):
         raise ConstructionError("schedule must cover every pool index exactly once")
     return merges
 
 
-def _chain_plan(pool: list[Component], k0: int) -> tuple[list[_Merge], dict, list]:
-    """dbcn/bbcn plan over ``balanced_schedule(len(pool), k0)``.
+def _chain_plan(leaves: list[_Operand], k0: int) -> tuple[list[_Operand], list[_Operand]]:
+    """dbcn/bbcn plan over ``balanced_schedule(len(leaves), k0)``.
 
     The first k0 - 1 merges are the balanced stage.  They run level by
     level as 'balance level s slot t' and their winners are h{s}_{t}; an
@@ -330,80 +321,56 @@ def _chain_plan(pool: list[Component], k0: int) -> tuple[list[_Merge], dict, lis
     is 'depth d' with winner g{d}.  k0 = 1 is dbcn's chain.  Also returns
     the chain [g{k0}, g{k0+1}, ...] that pruning walks.
     """
-    merges = _merges(balanced_schedule(len(pool), k0), len(pool))
+    merges = _merges(balanced_schedule(len(leaves), k0), leaves)
     balanced = sorted(merges[: k0 - 1], key=lambda m: m.level)
     chain = merges[k0 - 1 :]
-    names: dict = {i: (f"h0_{i + 1}" if i < k0 else c.id) for i, c in enumerate(pool)}
+    for i, leaf in enumerate(leaves[:k0]):
+        leaf.name = f"h0_{i + 1}"
     last_of_level = {m.level: m for m in balanced}
     slots: Counter = Counter()
     for m in balanced:
         s, t = m.level, slots[m.level]
         slots[s] += 1
         m.label, m.seed_prefix = f"balance level {s} slot {t + 1}", f"balance{s}:{t}"
-        names[m] = f"h{s}_{t + 1}"
+        m.name = f"h{s}_{t + 1}"
         for operand in (m.left, m.right):
-            for carried in range(_level(operand) + 1, s):
+            for carried in range(operand.level + 1, s):
                 # lower levels ran first, so slots[carried] is final
                 alias = f"h{carried}_{slots[carried] + 1}"
                 last_of_level[carried].notes.append(
-                    f"{alias} <- {names[operand]} (carried unmerged)"
+                    f"{alias} <- {operand.name} (carried unmerged)"
                 )
-                names[operand] = alias
-    root = balanced[-1] if balanced else 0
-    names[root] = f"g{k0}"
+                operand.name = alias
+    root = balanced[-1] if balanced else leaves[0]
+    root.name = f"g{k0}"
     for i, m in enumerate(chain):
         depth = k0 + i + 1
-        m.label, m.seed_prefix = f"depth {depth}", f"merge{i}"
-        names[m] = f"g{depth}"
-    return balanced + chain, names, [root, *chain]
+        m.label, m.seed_prefix, m.name = f"depth {depth}", f"merge{i}", f"g{depth}"
+    return balanced + chain, [root, *chain]
 
 
-def _marks(fresh: bool, open_all: bool) -> str:
+def _marks(operand: _Operand, open_all: bool) -> str:
     """The variant policy: the forms an operand takes at a merge, 'x'
-    frozen or 'o' opened for training.  A fresh operand (a leaf holding
-    a non-instantiated component) exists only open.  The natural policy
-    keeps every other operand frozen; the 'all' policy (``open_all``)
-    also offers it opened."""
-    if fresh:
+    frozen or 'o' opened for training.  A fresh leaf exists only open.
+    The natural policy keeps every other operand frozen; the 'all'
+    policy (``open_all``) also offers it opened."""
+    if operand.fresh:
         return "o"
     return "xo" if open_all else "x"
 
 
-def _variant(state: _State, mark: str, fresh: bool) -> tuple[_State, set[str]]:
-    """The operand state for one mark and the component ids it opens."""
-    if mark == "x":
-        return state, set()
-    if fresh:
-        return state, set(state.comps)
-    comps = {cid: comp.opened_copy() for cid, comp in state.comps.items()}
-    return replace(state, comps=comps), set(comps)
-
-
 def _execute(
-    pool: list[Component],
-    merges: list[_Merge],
-    names: dict,
+    merges: list[_Operand],
     data: Dataset,
     cfg: ConstructionConfig,
     open_all: bool,
     allow_large: bool,
-) -> tuple[dict, list[StepRecord], list[str]]:
+) -> tuple[list[StepRecord], list[str]]:
     """Run a merge plan: at each merge, train one candidate per activation
-    and operand variant, and keep the winner.  Returns the state of every
-    operand (pool index or merge), the step records and the notes."""
-
-    def fresh(operand) -> bool:
-        return isinstance(operand, int) and not all(pool[operand].frozen)
-
-    def variants(operand) -> list[tuple[str, _State, set[str]]]:
-        return [
-            (mark, *_variant(states[operand], mark, fresh(operand)))
-            for mark in _marks(fresh(operand), open_all)
-        ]
-
+    and operand variant, and set the merge's state to the winner.  Returns
+    the step records and the notes."""
     total = len(cfg.activations) * sum(
-        len(_marks(fresh(m.left), open_all)) * len(_marks(fresh(m.right), open_all))
-        for m in merges
+        len(_marks(m.left, open_all)) * len(_marks(m.right, open_all)) for m in merges
     )
     if total > _CANDIDATE_GUARD and not allow_large:
         raise ConstructionError(
@@ -411,31 +378,37 @@ def _execute(
             "pass allow_large=True (or --allow-large) to override"
         )
 
-    states: dict = {i: _component_state(comp, data) for i, comp in enumerate(pool)}
     ids = itertools.count(1)
     steps: list[StepRecord] = []
     notes: list[str] = []
     for m in merges:
-        lname, rname = names[m.left], names[m.right]
-        lvars, rvars = variants(m.left), variants(m.right)
+        variants = []  # per operand: (mark, state) for each mark the policy offers
+        for op in (m.left, m.right):
+            marks, open_state = _marks(op, open_all), op.state
+            if "o" in marks and not op.fresh:  # a fresh leaf's component is open already
+                comps = {cid: comp.opened_copy() for cid, comp in op.state.comps.items()}
+                open_state = replace(op.state, comps=comps)
+            variants.append([(mark, op.state if mark == "x" else open_state) for mark in marks])
         outcomes = []
         for act in cfg.activations:
-            for lmark, lstate, lopen in lvars:
-                for rmark, rstate, ropen in rvars:
-                    if open_all:
-                        description = f"{act.label}({lname}^{lmark},{rname}^{rmark})"
-                    else:
-                        description = f"{act.label}({lname},{rname})"
-                    seed_key = f"{m.seed_prefix}:{act.tag}:{lmark}{rmark}"
-                    opened = lopen | ropen
-                    outcomes.append(
-                        _fit(lstate, rstate, act, ids, description, seed_key, opened, data, cfg)
-                    )
-        states[m], record, step_notes = _select(m.label, outcomes, cfg)
+            for (lmark, lstate), (rmark, rstate) in itertools.product(*variants):
+                if open_all:
+                    description = f"{act.label}({m.left.name}^{lmark},{m.right.name}^{rmark})"
+                else:
+                    description = f"{act.label}({m.left.name},{m.right.name})"
+                seed_key = f"{m.seed_prefix}:{act.tag}:{lmark}{rmark}"
+                opened = {
+                    *(lstate.comps if lmark == "o" else ()),
+                    *(rstate.comps if rmark == "o" else ()),
+                }
+                outcomes.append(
+                    _fit(lstate, rstate, act, ids, description, seed_key, opened, data, cfg)
+                )
+        m.state, record, step_notes = _select(m.label, outcomes, cfg)
         steps.append(record)
         notes.extend(step_notes)
         notes.extend(m.notes)
-    return states, steps, notes
+    return steps, notes
 
 
 def _report(
@@ -466,36 +439,37 @@ def _report(
 # -- public algorithms -----------------------------------------------------
 
 
-def _ordered(pool, data) -> list[Component]:
+def _ordered(pool, data) -> tuple[list[Component], list[_Operand]]:
+    """The pool in construction order, and the plan leaf of each of its
+    components; each component is evaluated once."""
     pool = list(pool)
     if not pool:
         raise ConstructionError("component pool is empty")
-    losses = {
-        c.id: component_loss(c, data, "train") for c in pool if c.kind == KIND_PRETRAINED
-    }
-    return order_components(pool, losses)
+    states = {c.id: _component_state(c, data) for c in pool}
+    losses = {c.id: states[c.id].train_loss for c in pool if c.kind == KIND_PRETRAINED}
+    pool = order_components(pool, losses)
+    return pool, [_Operand(c.id, states[c.id], fresh=not all(c.frozen)) for c in pool]
 
 
 def _pruned_chain(
     algorithm: str,
     pool: list[Component],
+    leaves: list[_Operand],
     k0: int,
     data: Dataset,
     cfg: ConstructionConfig,
     allow_large: bool,
 ) -> ConstructionReport:
     """Run the dbcn/bbcn plan under the natural policy, then prune the chain."""
-    merges, names, chain = _chain_plan(pool, k0)
-    states, steps, notes = _execute(
-        pool, merges, names, data, cfg, open_all=False, allow_large=allow_large
-    )
-    metric_values = [states[x].metric(cfg.selection_metric) for x in chain]
+    merges, chain = _chain_plan(leaves, k0)
+    steps, notes = _execute(merges, data, cfg, open_all=False, allow_large=allow_large)
+    metric_values = [op.state.metric(cfg.selection_metric) for op in chain]
     keep = _prune_index(metric_values, cfg.delta)
     if keep < len(chain) - 1:
         notes.append(
             f"pruned chain from depth {len(chain)} to depth {keep + 1} (delta={cfg.delta})"
         )
-    return _report(algorithm, pool, states[chain[keep]], keep + 1, len(chain), steps, notes, cfg)
+    return _report(algorithm, pool, chain[keep].state, keep + 1, len(chain), steps, notes, cfg)
 
 
 def dbcn(
@@ -506,8 +480,8 @@ def dbcn(
 ) -> ConstructionReport:
     """Greedy deep chain: one component per depth, then delta-pruning."""
     cfg = cfg or ConstructionConfig()
-    pool = _ordered(pool, data)
-    return _pruned_chain("dbcn", pool, 1, data, cfg, allow_large)
+    pool, leaves = _ordered(pool, data)
+    return _pruned_chain("dbcn", pool, leaves, 1, data, cfg, allow_large)
 
 
 def bbcn(
@@ -519,7 +493,7 @@ def bbcn(
     """Balanced pairwise merges of the first k0 (base) components, then
     the greedy chain over the remainder."""
     cfg = cfg or ConstructionConfig()
-    pool = _ordered(pool, data)
+    pool, leaves = _ordered(pool, data)
     k0 = cfg.k0
     if k0 < 2:
         warnings.warn("k0 < 2: balanced stage degenerates to the greedy chain")
@@ -528,7 +502,7 @@ def bbcn(
         raise ConstructionError(f"k0 = {k0} exceeds pool size {len(pool)}")
     elif any(c.role != ROLE_BASE for c in pool[:k0]):
         raise ConstructionError("first k0 pool entries must be base components")
-    return _pruned_chain("bbcn", pool, k0, data, cfg, allow_large)
+    return _pruned_chain("bbcn", pool, leaves, k0, data, cfg, allow_large)
 
 
 # -- exhaustive search -----------------------------------------------------
@@ -568,21 +542,21 @@ def exhaustive(
     """Train every frozen/open x activation combination at each merge of
     the schedule and keep the per-merge winner."""
     cfg = cfg or ConstructionConfig()
-    pool = _ordered(pool, data)
+    pool, leaves = _ordered(pool, data)
     if schedule is None or schedule == "balanced":
+        if cfg.k0 < 1:
+            raise ConstructionError(f"k0 = {cfg.k0} is below 1")
+        if cfg.k0 > len(pool):
+            raise ConstructionError(f"k0 = {cfg.k0} exceeds pool size {len(pool)}")
         schedule = balanced_schedule(len(pool), cfg.k0)
     elif schedule == "chain":
         schedule = chain_schedule(len(pool))
     elif isinstance(schedule, str):
         raise ConstructionError(f"unknown schedule {schedule!r}: use balanced, chain or a tree")
-    merges = _merges(schedule, len(pool))
-    names: dict = {i: c.id for i, c in enumerate(pool)}
+    merges = _merges(schedule, leaves)
     for i, m in enumerate(merges):
-        m.label, m.seed_prefix = f"merge {i + 1}", f"merge{i}"
-        names[m] = f"g{i + 1}"
-    states, steps, notes = _execute(
-        pool, merges, names, data, cfg, open_all=True, allow_large=allow_large
-    )
+        m.label, m.seed_prefix, m.name = f"merge {i + 1}", f"merge{i}", f"g{i + 1}"
+    steps, notes = _execute(merges, data, cfg, open_all=True, allow_large=allow_large)
     depth = len(merges) + 1
-    final = states[merges[-1] if merges else schedule]
+    final = (merges[-1] if merges else leaves[0]).state
     return _report("exhaustive", pool, final, depth, depth, steps, notes, cfg)

@@ -320,6 +320,7 @@ def train(
 
     rng = np.random.default_rng(cfg.seed)
     velocity = np.zeros(layout.size)
+    params = get_parameters(net, components, layout)
     history: list[EpochStats] = []
     best = np.inf
     stale = 0
@@ -351,7 +352,7 @@ def train(
                 except NonFiniteGradientError as exc:
                     raise TrainingError(f"diverged at epoch {epoch}: {exc}") from exc
                 velocity = MOMENTUM * velocity - lr * grad
-                params = get_parameters(net, components, layout) + velocity
+                params += velocity
                 set_parameters(net, components, layout, params)
             try:
                 train_loss, test_loss = (

@@ -39,6 +39,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--h" in err and "theorem1" in err
 
+    def test_synth_k_with_qualities_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "s"
+        assert main(["synth", "--k", "5", "--qualities", "0.1,0.2", "--out", str(out)]) == 1
+        message = capsys.readouterr().err.splitlines()[0]
+        assert "--k conflicts with --qualities" in message
+        assert not out.exists()
+
     def test_success_is_0(self, capsys, tmp_path):
         assert main(["impute", "--demo", "--k", "2"]) == 0
 
@@ -190,6 +197,19 @@ class TestCompose:
         assert code == 1
         err = capsys.readouterr().err
         assert "--schedule" in err and "foo" in err
+
+    @pytest.mark.parametrize(
+        "k0, message",
+        [("9", "k0 = 9 exceeds pool size 3"), ("0", "k0 = 0")],
+        ids=["above-pool", "zero"],
+    )
+    def test_exhaustive_k0_outside_pool_is_runtime_error(self, bundle, capsys, k0, message):
+        code = main(
+            ["compose", "exhaustive", "--pool", str(bundle / "components.json"),
+             "--data", str(bundle / "data.csv"), "--k0", k0]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["dbcn", "bbcn"])
     def test_schedule_outside_exhaustive_is_usage_error(self, bundle, capsys, mode):

@@ -185,6 +185,28 @@ class TestBbcn:
         with pytest.raises(cn.ConstructionError):
             cn.bbcn(comps[:2], data, _fast_cfg(k0=5))
 
+    def test_k0_six_runs_level_by_level(self):
+        """With six base components the merge tree's postorder runs level 2
+        before level 1 is done; the balanced stage must still run level by
+        level, and the odd one out at level 1 is carried up to level 2."""
+        spec = cn.SyntheticTaskSpec(
+            n=120, d=5, noise_sd=0.02, component_quality=(0.1, 0.15, 0.2, 0.3, 0.4, 0.5), seed=3
+        )
+        data, comps = cn.generate_synthetic(spec)
+        cfg = _fast_cfg(
+            k0=6, activations=(cn.LINEAR,), train_cfg=cn.TrainConfig(max_epochs=3, seed=5)
+        )
+        report = cn.bbcn(comps, data, cfg)
+        assert [s.label for s in report.steps] == [
+            "balance level 1 slot 1",
+            "balance level 1 slot 2",
+            "balance level 1 slot 3",
+            "balance level 2 slot 1",
+            "balance level 3 slot 1",
+        ]
+        assert [s.front_runner for s in report.steps[-2:]] == ["L(h1_1,h1_2)", "L(h2_1,h2_2)"]
+        assert "h2_2 <- h1_3 (carried unmerged)" in report.notes
+
     def test_non_base_in_prefix_rejected(self, task, rng):
         data, comps = task
         aux = cn.Component.mlp("aux", [5, 1], rng, role=cn.ROLE_AUX)
@@ -239,6 +261,18 @@ class TestExhaustive:
         best_full = min(c.train_loss for c in full_step.candidates)
         best_chain = min(c.train_loss for c in chain_step.candidates)
         assert best_full <= best_chain
+
+    @pytest.mark.parametrize(
+        "k0, message",
+        [(4, "k0 = 4 exceeds pool size 3"), (0, "k0 = 0"), (-5, "k0 = -5")],
+        ids=["above-pool", "zero", "negative"],
+    )
+    def test_balanced_k0_outside_pool_rejected(self, task, k0, message):
+        """The balanced schedule does not clamp k0: a k0 beyond the pool or
+        below 1 is an error, as it is for bbcn, not a quietly smaller tree."""
+        data, comps = task
+        with pytest.raises(cn.ConstructionError, match=message):
+            cn.exhaustive(comps[:3], data, _fast_cfg(k0=k0))
 
     def test_schedule_must_cover_pool(self, task):
         data, comps = task

@@ -158,6 +158,23 @@ class TestEvaluate:
             cn.evaluate(cn.CompositeNetwork(nodes, "c"), {"ident": ident}, np.array([[np.inf]]))
         assert err.value.node_id == "r"
 
+    def test_nan_input_reported_at_first_component(self):
+        ident = cn.Component(
+            "ident",
+            cn.KIND_PRETRAINED,
+            cn.ROLE_BASE,
+            [cn.AffineLayer(np.array([[1.0]]), np.zeros(1), cn.LINEAR)],
+        )
+        # NaN propagates without a floating-point exception, so only the
+        # per-node check after the forward pass can name where it appears
+        nodes = [
+            cn.ComponentRef("r", "ident"),
+            cn.Combine("c", ["r", "r"], np.array([0.0, 1.0, -1.0])),
+        ]
+        with pytest.raises(cn.EvaluationError) as err:
+            cn.evaluate(cn.CompositeNetwork(nodes, "c"), {"ident": ident}, np.array([[np.nan]]))
+        assert err.value.node_id == "r"
+
     def test_children_must_be_defined_first(self):
         with pytest.raises(cn.ModelError):
             cn.CompositeNetwork(
