@@ -31,9 +31,7 @@ from .construct import (
     ConstructionError,
     ConstructionReport,
     StepRecord,
-    balanced_schedule,
     bbcn,
-    chain_schedule,
     component_loss,
     dbcn,
     exhaustive,

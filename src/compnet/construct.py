@@ -30,7 +30,6 @@ import hashlib
 import itertools
 import math
 import warnings
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
@@ -47,6 +46,7 @@ from .model import (
     ROLE_BASE,
     count_parameters,
     loss_l2,
+    registry,
     single_component_network,
 )
 from .training import EpochStats, TrainConfig, TrainingError, parameter_layout, train
@@ -278,75 +278,62 @@ class _Operand:
     fresh: bool = False  # a leaf holding a non-instantiated component
     left: _Operand | None = None
     right: _Operand | None = None
-    level: int = 0  # height in the merge tree; pool leaves are level 0
     label: str = ""
     seed_prefix: str = ""
     notes: list[str] = field(default_factory=list)  # recorded after the step
 
 
-def _merges(tree, leaves: list[_Operand]) -> list[_Operand]:
-    """The merges of a schedule tree in postorder; the tree's leaves must
-    be the indices of ``leaves``, each exactly once."""
-    merges: list[_Operand] = []
-    seen: set[int] = set()
+def _tree(leaves: list[_Operand], k0: int) -> tuple[list[list[_Operand]], list[_Operand]]:
+    """The merge tree over ``leaves``: the balanced stage's levels over
+    the first k0 (level 0 is those leaves, the last level holds the
+    stage's root alone), and the chain's merges over the rest.  Level s
+    pairs up level s - 1 in order; an odd one out is carried up unmerged
+    and goes last in level s."""
+    levels = [leaves[:k0]]
+    while len(levels[-1]) > 1:
+        below = levels[-1]
+        pairs = [_Operand("", None, left=a, right=b) for a, b in zip(below[::2], below[1::2])]
+        levels.append(pairs + below[2 * len(pairs) :])
+    chain, top = [], levels[-1][0]
+    for leaf in leaves[k0:]:
+        top = _Operand("", None, left=top, right=leaf)
+        chain.append(top)
+    return levels, chain
 
-    def visit(node) -> _Operand:
-        if isinstance(node, int):
-            if node in seen or not 0 <= node < len(leaves):
-                raise ConstructionError("schedule must cover every pool index exactly once")
-            seen.add(node)
-            return leaves[node]
-        if not (isinstance(node, (tuple, list)) and len(node) == 2):
-            raise ConstructionError(
-                f"schedule node {node!r} is neither a pool index nor a pair of subtrees"
-            )
-        left, right = visit(node[0]), visit(node[1])
-        level = 1 + max(left.level, right.level)
-        merges.append(_Operand("", None, left=left, right=right, level=level))
-        return merges[-1]
 
-    visit(tree)
-    if len(seen) != len(leaves):
-        raise ConstructionError("schedule must cover every pool index exactly once")
-    return merges
+def _postorder(operand: _Operand) -> list[_Operand]:
+    """The merges of the subtree under ``operand``, operands first."""
+    if operand.left is None:
+        return []
+    return [*_postorder(operand.left), *_postorder(operand.right), operand]
 
 
 def _chain_plan(leaves: list[_Operand], k0: int) -> tuple[list[_Operand], list[_Operand]]:
-    """dbcn/bbcn plan over ``balanced_schedule(len(leaves), k0)``.
-
-    The first k0 - 1 merges are the balanced stage.  They run level by
-    level as 'balance level s slot t' and their winners are h{s}_{t}; an
-    operand left over at the end of a level is carried up under the next
-    slot's name.  The stage's root is g{k0}, and each chain merge above it
-    is 'depth d' with winner g{d}.  k0 = 1 is dbcn's chain.  Also returns
-    the chain [g{k0}, g{k0+1}, ...] that pruning walks.
-    """
-    merges = _merges(balanced_schedule(len(leaves), k0), leaves)
-    balanced = sorted(merges[: k0 - 1], key=lambda m: m.level)
-    chain = merges[k0 - 1 :]
-    for i, leaf in enumerate(leaves[:k0]):
-        leaf.name = f"h0_{i + 1}"
-    last_of_level = {m.level: m for m in balanced}
-    slots: Counter = Counter()
-    for m in balanced:
-        s, t = m.level, slots[m.level]
-        slots[s] += 1
-        m.label, m.seed_prefix = f"balance level {s} slot {t + 1}", f"balance{s}:{t}"
-        m.name = f"h{s}_{t + 1}"
-        for operand in (m.left, m.right):
-            for carried in range(operand.level + 1, s):
-                # lower levels ran first, so slots[carried] is final
-                alias = f"h{carried}_{slots[carried] + 1}"
-                last_of_level[carried].notes.append(
-                    f"{alias} <- {operand.name} (carried unmerged)"
-                )
-                operand.name = alias
-    root = balanced[-1] if balanced else leaves[0]
+    """dbcn/bbcn plan.  The balanced stage over the first k0 leaves runs
+    level by level as 'balance level s slot t'; the operands of level s
+    are h{s}_{t}, and one carried up unmerged takes the next name of its
+    new level.  The stage's root is g{k0}, and each chain merge above it
+    is 'depth d' with winner g{d}; k0 = 1 is dbcn's chain.  Also returns
+    the chain [g{k0}, g{k0+1}, ...] that pruning walks."""
+    levels, chain = _tree(leaves, k0)
+    merges: list[_Operand] = []
+    for t, leaf in enumerate(levels[0]):
+        leaf.name = f"h0_{t + 1}"
+    for s, level in enumerate(levels[1:], start=1):
+        for t, op in enumerate(level):
+            name = f"h{s}_{t + 1}"
+            if op is levels[s - 1][-1]:
+                merges[-1].notes.append(f"{name} <- {op.name} (carried unmerged)")
+            else:
+                op.label, op.seed_prefix = f"balance level {s} slot {t + 1}", f"balance{s}:{t}"
+                merges.append(op)
+            op.name = name
+    root = levels[-1][0]
     root.name = f"g{k0}"
     for i, m in enumerate(chain):
         depth = k0 + i + 1
         m.label, m.seed_prefix, m.name = f"depth {depth}", f"merge{i}", f"g{depth}"
-    return balanced + chain, [root, *chain]
+    return merges + chain, [root, *chain]
 
 
 def _marks(operand: _Operand, open_all: bool) -> str:
@@ -441,11 +428,11 @@ def _report(
 
 def _ordered(pool, data) -> tuple[list[Component], list[_Operand]]:
     """The pool in construction order, and the plan leaf of each of its
-    components; each component is evaluated once."""
+    components; each component is evaluated once, and ids must be unique."""
     pool = list(pool)
     if not pool:
         raise ConstructionError("component pool is empty")
-    states = {c.id: _component_state(c, data) for c in pool}
+    states = {cid: _component_state(c, data) for cid, c in registry(pool).items()}
     losses = {c.id: states[c.id].train_loss for c in pool if c.kind == KIND_PRETRAINED}
     pool = order_components(pool, losses)
     return pool, [_Operand(c.id, states[c.id], fresh=not all(c.frozen)) for c in pool]
@@ -508,30 +495,6 @@ def bbcn(
 # -- exhaustive search -----------------------------------------------------
 
 
-def balanced_schedule(count: int, k0: int):
-    """Merge tree with the balanced shape over the first k0 leaves and a
-    chain over the rest (the default exhaustive layout)."""
-    k0 = max(1, min(k0, count))
-    level: list = list(range(k0))
-    while len(level) > 1:
-        nxt = []
-        slots = math.ceil(len(level) / 2)
-        for t in range(slots):
-            if len(level) % 2 == 1 and t == slots - 1:
-                nxt.append(level[2 * t])
-            else:
-                nxt.append((level[2 * t], level[2 * t + 1]))
-        level = nxt
-    tree = level[0]
-    for i in range(k0, count):
-        tree = (tree, i)
-    return tree
-
-
-def chain_schedule(count: int):
-    return balanced_schedule(count, 1)
-
-
 def exhaustive(
     pool,
     data: Dataset,
@@ -548,12 +511,13 @@ def exhaustive(
             raise ConstructionError(f"k0 = {cfg.k0} is below 1")
         if cfg.k0 > len(pool):
             raise ConstructionError(f"k0 = {cfg.k0} exceeds pool size {len(pool)}")
-        schedule = balanced_schedule(len(pool), cfg.k0)
+        k0 = cfg.k0
     elif schedule == "chain":
-        schedule = chain_schedule(len(pool))
-    elif isinstance(schedule, str):
-        raise ConstructionError(f"unknown schedule {schedule!r}: use balanced, chain or a tree")
-    merges = _merges(schedule, leaves)
+        k0 = 1
+    else:
+        raise ConstructionError(f"unknown schedule {schedule!r}: use balanced or chain")
+    levels, chain = _tree(leaves, k0)
+    merges = _postorder(levels[-1][0]) + chain
     for i, m in enumerate(merges):
         m.label, m.seed_prefix, m.name = f"merge {i + 1}", f"merge{i}", f"g{i + 1}"
     steps, notes = _execute(merges, data, cfg, open_all=True, allow_large=allow_large)

@@ -58,6 +58,8 @@ def knn_impute(grid_values, spec: GridSpec | None = None, k: int = 4) -> np.ndar
         raise DataError(f"grid shape {g.shape} does not match spec ({spec.rows}, {spec.cols})")
     if k < 1:
         raise DataError("k must be positive")
+    if np.isinf(g).any():
+        raise DataError("grid has infinite cells; only NaN marks a missing cell")
     known_mask = np.isfinite(g)
     known = np.argwhere(known_mask)
     if known.shape[0] < k:
@@ -395,16 +397,21 @@ def save_csv(
 
 
 def load_grid_csv(path) -> np.ndarray:
-    """Read a rectangular grid CSV; empty cells become NaN."""
+    """Read a rectangular grid CSV; empty cells become NaN, and only empty
+    cells may be non-finite."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
             try:
-                rows.append([np.nan if cell.strip() == "" else float(cell) for cell in row])
+                values = [np.nan if cell.strip() == "" else float(cell) for cell in row]
             except ValueError as exc:
                 raise DataError(f"{path}: line {line_no}: cannot parse cell ({exc})") from exc
+            bad = [cell for cell, v in zip(row, values) if cell.strip() and not np.isfinite(v)]
+            if bad:
+                raise DataError(f"{path}: line {line_no}: non-finite cell {bad[0]!r}")
+            rows.append(values)
     if not rows or len({len(r) for r in rows}) != 1:
         raise DataError(f"{path}: grid must be non-empty and rectangular")
     return np.asarray(rows, dtype=float)

@@ -238,6 +238,15 @@ class TestCompose:
         manifest = json.loads((tmp_path / "bbcn.json.manifest.json").read_text())
         assert manifest["config"]["k0"] == 3 and manifest["config"]["schedule"] is None
 
+    def test_duplicate_component_id_is_runtime_error(self, bundle, tmp_path, capsys):
+        pool = json.loads((bundle / "components.json").read_text())
+        pool["components"][1]["id"] = pool["components"][0]["id"]
+        dup = tmp_path / "dup.json"
+        dup.write_text(json.dumps(pool))
+        code = main(["compose", "dbcn", "--pool", str(dup), "--data", str(bundle / "data.csv")])
+        assert code == 2
+        assert "duplicate component id 'f1'" in capsys.readouterr().err
+
     def test_diverging_candidates_are_recorded_not_fatal(self, tmp_path, capsys):
         out = tmp_path / "b7"
         assert main(["synth", "--seed", "7", "--out", str(out)]) == 0
@@ -346,6 +355,14 @@ class TestImpute:
 
         filled = load_grid_csv(out)
         assert np.all(np.isfinite(filled))
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_cell_is_runtime_error(self, tmp_path, capsys, cell):
+        """Only an empty cell marks a missing value."""
+        g = tmp_path / "g.csv"
+        g.write_text(f"1,2,3\n4,{cell},6\n7,,9\n")
+        assert main(["impute", "--grid", str(g), "--k", "2"]) == 2
+        assert f"line 2: non-finite cell '{cell}'" in capsys.readouterr().err
 
 
 class TestReportDirEnv:

@@ -1,10 +1,13 @@
 """Construction algorithms: ordering, greedy chain, balanced merges,
 exhaustive search, pruning."""
 
+import functools
+
 import numpy as np
 import pytest
 
 import compnet as cn
+from compnet import construct
 
 
 def _comp(cid, kind, role):
@@ -276,11 +279,27 @@ class TestExhaustive:
 
     def test_schedule_must_cover_pool(self, task):
         data, comps = task
-        # a missing leaf, a duplicate leaf, an out-of-range leaf, a leaf
-        # that is not an index, a node with a third subtree
+        # a schedule is "balanced" or "chain"; a tree of pool indices, well
+        # formed or not, is an unknown schedule
         for schedule in [(0, 1), ((0, 1), 1), ((0, 1), 3), ("a", 1), ((0, 1), 2, 0)]:
             with pytest.raises(cn.ConstructionError, match="schedule"):
                 cn.exhaustive(comps[:3], data, _fast_cfg(), schedule=schedule)
+
+
+class TestDuplicateIds:
+    @pytest.mark.parametrize(
+        "build", [cn.dbcn, cn.bbcn, cn.exhaustive], ids=["dbcn", "bbcn", "exhaustive"]
+    )
+    def test_rejected_before_evaluation(self, task, monkeypatch, build):
+        data, comps = task
+        twin = cn.Component.from_dict({**comps[1].to_dict(), "id": comps[0].id})
+
+        def refuse_evaluation(*args, **kwargs):
+            raise AssertionError("evaluated a component of an invalid pool")
+
+        monkeypatch.setattr("compnet.construct._component_state", refuse_evaluation)
+        with pytest.raises(cn.ModelError, match="duplicate component id 'f1'"):
+            build([comps[0], twin], data, _fast_cfg())
 
 
 class TestCandidateGuard:
@@ -308,15 +327,53 @@ class TestCandidateGuard:
             build(many, data, cfg, allow_large=True)
 
 
+class TestDeepPool:
+    """Plans over pools far deeper than Python's recursion limit."""
+
+    @pytest.mark.parametrize(
+        "build, size",
+        [(cn.dbcn, 1100), (functools.partial(cn.exhaustive, schedule="chain"), 1000)],
+        ids=["dbcn", "exhaustive-chain"],
+    )
+    def test_reaches_training(self, task, monkeypatch, build, size):
+        # dbcn: 1099 candidates; exhaustive: 999 merges x 4 variant pairs = 3996
+        data, _ = task
+        rng = np.random.default_rng(0)
+        pool = [cn.Component.mlp(f"c{i}", [5, 1], rng) for i in range(size)]
+
+        class Trained(Exception):
+            pass
+
+        def refuse_training(*args, **kwargs):
+            raise Trained
+
+        monkeypatch.setattr("compnet.construct.train", refuse_training)
+        with pytest.raises(Trained):
+            build(pool, data, _fast_cfg(activations=(cn.LINEAR,)))
+
+
+def _schedule(count, k0):
+    """The plan's merge tree over ``count`` leaves as nested leaf-index
+    tuples, rebuilt from the operands in run order."""
+    leaves = [construct._Operand(str(i), None) for i in range(count)]
+    levels, chain = construct._tree(leaves, k0)
+    root = (construct._postorder(levels[-1][0]) + chain)[-1]
+
+    def nest(op):
+        return int(op.name) if op.left is None else (nest(op.left), nest(op.right))
+
+    return nest(root)
+
+
 class TestSchedules:
     def test_balanced_shape_k0_4(self):
-        assert cn.balanced_schedule(6, 4) == ((((0, 1), (2, 3)), 4), 5)
+        assert _schedule(6, 4) == ((((0, 1), (2, 3)), 4), 5)
 
     def test_balanced_shape_k0_5(self):
-        assert cn.balanced_schedule(5, 5) == (((0, 1), (2, 3)), 4)
+        assert _schedule(5, 5) == (((0, 1), (2, 3)), 4)
 
     def test_chain_shape(self):
-        assert cn.chain_schedule(4) == (((0, 1), 2), 3)
+        assert _schedule(4, 1) == (((0, 1), 2), 3)
 
 
 class TestReportShape:

@@ -53,6 +53,13 @@ class TestKnnImpute:
         with pytest.raises(cn.DataError, match="known"):
             cn.knn_impute(g, k=4)
 
+    def test_infinite_cell_rejected(self):
+        """NaN marks a missing cell; an infinite one is not imputed."""
+        g = np.ones((3, 3))
+        g[0, 0], g[1, 1] = np.inf, np.nan
+        with pytest.raises(cn.DataError, match="infinite"):
+            cn.knn_impute(g, k=4)
+
     def test_idempotent_once_filled(self, rng):
         g = rng.normal(size=(6, 6))
         g[1, 2] = g[4, 4] = np.nan
