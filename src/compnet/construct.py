@@ -9,16 +9,20 @@ Three strategies over an ordered pool:
               then the greedy chain for whatever remains;
   exhaustive  same merge tree, but each operand may additionally have
               its internal weights opened for training ('o') or kept
-              frozen ('x'), every combination trained.
+              frozen ('x'), every combination fitted.
 
 All three run on one executor: a merge plan (the merge tree in the
 order its merges run, with the labels, names and seed keys of each
 merge) is walked once, and at each merge every candidate the variant
-policy offers is trained and the best kept.  The algorithms differ
+policy offers is fitted and the best kept.  The algorithms differ
 only in the plan's shape and in the policy.
 
-Each step trains only the newly added mixing weights (plus any newly
-opened component blocks); the already-built subtree acts as a frozen
+A candidate's new mixing weights start at theta*, the closed-form
+least-squares mix of its two operand outputs on the train rows.  Over
+two frozen operands with the linear activation or the SL preset, that
+start is the candidate: nothing is trained.  Any other candidate trains
+its mixing weights (plus any newly opened component blocks) from there
+and keeps its best epoch; the already-built subtree acts as a frozen
 feature extractor.  Candidate seeds derive from a stable description
 of the candidate, so the same candidate trains identically no matter
 which search produced it.
@@ -45,11 +49,21 @@ from .model import (
     KIND_PRETRAINED,
     ROLE_BASE,
     count_parameters,
+    evaluate,
     loss_l2,
     registry,
     single_component_network,
 )
-from .training import EpochStats, TrainConfig, TrainingError, parameter_layout, train
+from .linear import SingularGramError, build_gram, solve_theta_star
+from .training import (
+    EpochStats,
+    Split,
+    TrainConfig,
+    TrainingError,
+    history_row,
+    parameter_layout,
+    train,
+)
 
 _CANDIDATE_GUARD = 2**12
 
@@ -80,8 +94,10 @@ class CandidateRecord:
     test_loss: float
     trainable: int
     total: int
-    # per-epoch losses; not part of the report (empty when training failed)
+    # row 0 is the start, rows 1.. the epochs trained; not part of the
+    # report (empty when the candidate failed)
     history: list[EpochStats] = field(default_factory=list, repr=False)
+    note: str = ""  # why the mixing weights did not start at theta*
 
     def metric(self, selection_metric: str) -> float:
         return self.train_loss if selection_metric == "train_loss" else self.test_loss
@@ -193,6 +209,25 @@ def _derive_seed(base: int, key: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _closed_form(activation: Activation, opened: set[str]) -> bool:
+    """Whether a candidate is its theta* start, untrained: both operands
+    frozen, and the linear activation or the SL preset.  SL(0) = 0, SL
+    has slope 1 and curvature 0 at 0, and its third derivative never
+    exceeds 2e-6 in size, so |SL(z) - z| <= 2e-6 |z|^3 / 6: the SL
+    candidate differs from the linear one by at most that much."""
+    return not opened and activation in (LINEAR, SL)
+
+
+def _theta_star(split: Split) -> np.ndarray:
+    """The least-squares mix of the operand outputs that ``split`` knows.
+    One theta is shared by every label column, so it is solved over the
+    stacked rows; a width-1 output broadcasts to the label width, as
+    ``Combine`` broadcasts it."""
+    shape = split.labels.shape
+    cols = [np.broadcast_to(out, shape).ravel() for out in split.known.values()]
+    return solve_theta_star(build_gram(np.column_stack(cols), split.labels.ravel()))
+
+
 def _fit(
     left: _State,
     right: _State,
@@ -204,11 +239,30 @@ def _fit(
     data: Dataset,
     cfg: ConstructionConfig,
 ) -> tuple[_State | None, CandidateRecord, str | None]:
-    """Build the candidate activation(mix(left, right)) and train its new
-    mixing weights plus the blocks of the ``opened`` components.  Returns
-    the trained state, the candidate record and the training error (the
-    state is None when training failed)."""
-    mix = Combine(f"mix:{next(ids)}", [left.net.root, right.net.root], np.array([0.0, 0.5, 0.5]))
+    """Build the candidate activation(mix(left, right)), with its mixing
+    weights at theta*, the least-squares mix of the operand outputs on the
+    train rows (the left operand passed through when A1 fails).  A
+    ``_closed_form`` candidate is that start; any other trains its mixing
+    weights plus the blocks of the ``opened`` components from it.  Returns
+    the state, the candidate record and the error (the state is None when
+    the candidate failed)."""
+    splits = [
+        Split(
+            data.inputs[idx],
+            data.labels[idx],
+            {op.net.root: evaluate(op.net, op.comps, data.inputs[idx]) for op in (left, right)},
+        )
+        if idx.size
+        else None
+        for idx in (data.train_idx, data.test_idx)
+    ]
+    note = ""
+    try:
+        theta = _theta_star(splits[0])
+    except SingularGramError:
+        theta = np.array([0.0, 1.0, 0.0])
+        note = "operand outputs are linearly dependent (A1 fails); left operand passed through"
+    mix = Combine(f"mix:{next(ids)}", [left.net.root, right.net.root], theta)
     nodes = [*left.net.nodes, *right.net.nodes, mix]
     if activation.tag != "linear":
         nodes.append(Activate(f"act:{next(ids)}", mix.id, activation))
@@ -217,23 +271,26 @@ def _fit(
     trainable = {mix.id} | {ref.id for ref in net.ref_nodes() if ref.component in opened}
     size = parameter_layout(net, comps, trainable).size
     total = count_parameters(net, comps)["total"]
-    tcfg = replace(cfg.train_cfg, seed=_derive_seed(cfg.train_cfg.seed, seed_key))
     try:
-        result = train(net, comps, data, tcfg, trainable_nodes=trainable)
+        if _closed_form(activation, opened):
+            history, best = [history_row(net, comps, 0, *splits)], 0
+        else:
+            tcfg = replace(cfg.train_cfg, seed=_derive_seed(cfg.train_cfg.seed, seed_key))
+            result = train(net, comps, data, tcfg, trainable_nodes=trainable)
+            net, comps, history, best = result.net, result.components, result.history, result.best
     except TrainingError as exc:
-        return None, CandidateRecord(description, math.inf, math.inf, size, total), str(exc)
-    last = result.history[-1]
-    record = CandidateRecord(
-        description, last.train_loss, last.test_loss, size, total, result.history
-    )
-    return _State(result.net, result.components, last.train_loss, last.test_loss), record, None
+        record = CandidateRecord(description, math.inf, math.inf, size, total, note=note)
+        return None, record, str(exc)
+    row = history[best]
+    record = CandidateRecord(description, row.train_loss, row.test_loss, size, total, history, note)
+    return _State(net, comps, row.train_loss, row.test_loss), record, None
 
 
 def _select(
     label: str, outcomes: list, cfg: ConstructionConfig
 ) -> tuple[_State, StepRecord, list[str]]:
     """The winning state of one merge (the first candidate with the lowest
-    selection metric), its step record and the notes on failed candidates."""
+    selection metric), its step record and the notes on its candidates."""
     metric = cfg.selection_metric
     trained = [(state, rec) for state, rec, err in outcomes if err is None]
     if any(np.isnan(rec.metric(metric)) for _, rec in trained):
@@ -243,11 +300,12 @@ def _select(
     if not trained:
         raise ConstructionError(f"{label}: every candidate failed training")
     state, best = min(trained, key=lambda pair: pair[1].metric(metric))
-    notes = [
-        f"{label}: candidate {rec.description} failed training: {err}"
-        for (_, rec, err) in outcomes
-        if err is not None
-    ]
+    notes = []
+    for _, rec, err in outcomes:
+        if rec.note:
+            notes.append(f"{label}: {rec.description}: {rec.note}")
+        if err is not None:
+            notes.append(f"{label}: candidate {rec.description} failed training: {err}")
     return state, StepRecord(label, [rec for _, rec, _ in outcomes], best.description), notes
 
 
@@ -353,7 +411,7 @@ def _execute(
     open_all: bool,
     allow_large: bool,
 ) -> tuple[list[StepRecord], list[str]]:
-    """Run a merge plan: at each merge, train one candidate per activation
+    """Run a merge plan: at each merge, fit one candidate per activation
     and operand variant, and set the merge's state to the winner.  Returns
     the step records and the notes."""
     total = len(cfg.activations) * sum(
@@ -368,6 +426,7 @@ def _execute(
     ids = itertools.count(1)
     steps: list[StepRecord] = []
     notes: list[str] = []
+    trained = False
     for m in merges:
         variants = []  # per operand: (mark, state) for each mark the policy offers
         for op in (m.left, m.right):
@@ -388,6 +447,7 @@ def _execute(
                     *(lstate.comps if lmark == "o" else ()),
                     *(rstate.comps if rmark == "o" else ()),
                 }
+                trained = trained or not _closed_form(act, opened)
                 outcomes.append(
                     _fit(lstate, rstate, act, ids, description, seed_key, opened, data, cfg)
                 )
@@ -395,6 +455,11 @@ def _execute(
         steps.append(record)
         notes.extend(step_notes)
         notes.extend(m.notes)
+    if not trained:
+        notes.append(
+            "no candidate was trained: every merge was solved in closed form, so the "
+            "training settings (epochs, batch size, learning rate, patience, seed) were not read"
+        )
     return steps, notes
 
 
@@ -426,12 +491,16 @@ def _report(
 # -- public algorithms -----------------------------------------------------
 
 
-def _ordered(pool, data) -> tuple[list[Component], list[_Operand]]:
-    """The pool in construction order, and the plan leaf of each of its
-    components; each component is evaluated once, and ids must be unique."""
+def _listed(pool) -> list[Component]:
     pool = list(pool)
     if not pool:
         raise ConstructionError("component pool is empty")
+    return pool
+
+
+def _ordered(pool: list[Component], data) -> tuple[list[Component], list[_Operand]]:
+    """The pool in construction order, and the plan leaf of each of its
+    components; each component is evaluated once, and ids must be unique."""
     states = {cid: _component_state(c, data) for cid, c in registry(pool).items()}
     losses = {c.id: states[c.id].train_loss for c in pool if c.kind == KIND_PRETRAINED}
     pool = order_components(pool, losses)
@@ -467,7 +536,7 @@ def dbcn(
 ) -> ConstructionReport:
     """Greedy deep chain: one component per depth, then delta-pruning."""
     cfg = cfg or ConstructionConfig()
-    pool, leaves = _ordered(pool, data)
+    pool, leaves = _ordered(_listed(pool), data)
     return _pruned_chain("dbcn", pool, leaves, 1, data, cfg, allow_large)
 
 
@@ -480,14 +549,15 @@ def bbcn(
     """Balanced pairwise merges of the first k0 (base) components, then
     the greedy chain over the remainder."""
     cfg = cfg or ConstructionConfig()
-    pool, leaves = _ordered(pool, data)
+    pool = _listed(pool)
     k0 = cfg.k0
     if k0 < 2:
         warnings.warn("k0 < 2: balanced stage degenerates to the greedy chain")
         k0 = 1
     elif k0 > len(pool):
         raise ConstructionError(f"k0 = {k0} exceeds pool size {len(pool)}")
-    elif any(c.role != ROLE_BASE for c in pool[:k0]):
+    pool, leaves = _ordered(pool, data)
+    if any(c.role != ROLE_BASE for c in pool[:k0]):
         raise ConstructionError("first k0 pool entries must be base components")
     return _pruned_chain("bbcn", pool, leaves, k0, data, cfg, allow_large)
 
@@ -502,10 +572,10 @@ def exhaustive(
     schedule=None,
     allow_large: bool = False,
 ) -> ConstructionReport:
-    """Train every frozen/open x activation combination at each merge of
+    """Fit every frozen/open x activation combination at each merge of
     the schedule and keep the per-merge winner."""
     cfg = cfg or ConstructionConfig()
-    pool, leaves = _ordered(pool, data)
+    pool = _listed(pool)
     if schedule is None or schedule == "balanced":
         if cfg.k0 < 1:
             raise ConstructionError(f"k0 = {cfg.k0} is below 1")
@@ -516,6 +586,7 @@ def exhaustive(
         k0 = 1
     else:
         raise ConstructionError(f"unknown schedule {schedule!r}: use balanced or chain")
+    pool, leaves = _ordered(pool, data)
     levels, chain = _tree(leaves, k0)
     merges = _postorder(levels[-1][0]) + chain
     for i, m in enumerate(merges):

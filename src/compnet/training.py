@@ -8,7 +8,7 @@ train just the newly added step of a growing network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +74,8 @@ class EpochStats:
 class TrainResult:
     net: CompositeNetwork
     components: dict[str, Component]
-    history: list[EpochStats] = field(default_factory=list)
+    history: list[EpochStats]
+    best: int  # the history row whose parameters ``net`` and ``components`` carry
 
 
 # -- parameter layout ------------------------------------------------------
@@ -245,10 +246,11 @@ def _accumulate(adjoint: dict, key: str, value: np.ndarray) -> None:
 
 
 @dataclass
-class _Split:
-    """One dataset split inside one ``train`` call: its rows and the values
-    of every frozen node.  Frozen nodes depend on no trained parameter, so
-    they are computed and checked once."""
+class Split:
+    """One dataset split: its rows and the values of the nodes that are
+    not recomputed on it.  Inside one ``train`` call these are the frozen
+    nodes, which depend on no trained parameter, so they are computed and
+    checked once."""
 
     inputs: np.ndarray
     labels: np.ndarray
@@ -276,7 +278,7 @@ def _frozen_nodes(net: CompositeNetwork, layout: ParamLayout) -> tuple[set[str],
     return frozen, frozen & (read | {net.root})
 
 
-def _cache_split(net, components, frozen, inputs, labels) -> _Split:
+def _cache_split(net, components, frozen, inputs, labels) -> Split:
     # frozen nodes have only frozen children, so they make a network of
     # their own, which is checked as ``evaluate`` checks every node
     nodes = [node for node in net.nodes if node.id in frozen]
@@ -285,7 +287,31 @@ def _cache_split(net, components, frozen, inputs, labels) -> _Split:
         known = _checked_values(sub, components, inputs) if sub else {}
     except EvaluationError as exc:
         raise TrainingError(f"diverged at epoch 0: {exc}") from exc
-    return _Split(inputs, labels, known)
+    return Split(inputs, labels, known)
+
+
+def history_row(
+    net: CompositeNetwork,
+    components: dict[str, Component],
+    epoch: int,
+    train_split: Split,
+    test_split: Split | None,
+) -> EpochStats:
+    """One history row: ``evaluate``'s losses of the network on both splits
+    (nan for an empty test split).  A network that ``evaluate`` rejects,
+    or a train loss that is not finite, is a ``TrainingError``."""
+    try:
+        train_loss, test_loss = (
+            residual_loss(evaluate(net, components, split.inputs, split.known), split.labels)
+            if split
+            else float("nan")
+            for split in (train_split, test_split)
+        )
+    except EvaluationError as exc:
+        raise TrainingError(f"diverged at epoch {epoch}: {exc}") from exc
+    if not np.isfinite(train_loss):
+        raise TrainingError(f"diverged at epoch {epoch}: loss is not finite")
+    return EpochStats(epoch, train_loss, test_loss)
 
 
 def train(
@@ -297,14 +323,19 @@ def train(
 ) -> TrainResult:
     """SGD on the training split; returns a trained copy.
 
-    Frozen blocks of the input are never modified (the returned copy
-    carries bit-identical frozen weights).  Frozen subtrees are evaluated
-    and checked as ``evaluate`` checks them once per split, so a frozen
-    node that ``evaluate`` rejects ends training before the first batch;
-    every batch and every epoch loss recomputes only the nodes above them.
-    Epoch losses are ``evaluate``'s.  Divergence is
-    reported as a ``TrainingError``, so numpy overflow warnings are
-    silenced here.
+    The history's row 0 is the start, and rows 1..E are the epochs run.
+    The copy carries the parameters of the last row that improved on the
+    best train loss so far by more than 1e-12 (``TrainResult.best``), the
+    same test that drives early stopping, so training never returns a
+    train loss above its start.  Frozen blocks of the input are never
+    modified (the returned copy carries bit-identical frozen weights).
+
+    Frozen subtrees are evaluated and checked as ``evaluate`` checks them
+    once per split, so a frozen node that ``evaluate`` rejects ends
+    training before the first batch; every batch and every row's loss
+    recomputes only the nodes above them.  Row losses are ``evaluate``'s.
+    Divergence is reported as a ``TrainingError``, so numpy overflow
+    warnings are silenced here.
     """
     net = net.copy()
     components = {k: c.copy() for k, c in components.items()}
@@ -321,9 +352,6 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     velocity = np.zeros(layout.size)
     params = get_parameters(net, components, layout)
-    history: list[EpochStats] = []
-    best = np.inf
-    stale = 0
 
     with np.errstate(over="ignore", invalid="ignore"):
         frozen, read = _frozen_nodes(net, layout)
@@ -333,8 +361,10 @@ def train(
             else None
             for idx in (data.train_idx, data.test_idx)
         )
-        for epoch in range(cfg.max_epochs):
-            lr = cfg.lr_at(epoch)
+        history = [history_row(net, components, 0, train_split, test_split)]
+        best, best_params, stale = 0, params.copy(), 0
+        for epoch in range(1, cfg.max_epochs + 1):
+            lr = cfg.lr_at(epoch - 1)
             perm = rng.permutation(n_train)
             for start in range(0, n_train, cfg.batch_size):
                 idx = perm[start : start + cfg.batch_size]
@@ -354,27 +384,16 @@ def train(
                 velocity = MOMENTUM * velocity - lr * grad
                 params += velocity
                 set_parameters(net, components, layout, params)
-            try:
-                train_loss, test_loss = (
-                    residual_loss(evaluate(net, components, split.inputs, split.known), split.labels)
-                    if split
-                    else float("nan")
-                    for split in (train_split, test_split)
-                )
-            except EvaluationError as exc:
-                raise TrainingError(f"diverged at epoch {epoch}: {exc}") from exc
-            if not np.isfinite(train_loss):
-                raise TrainingError(f"diverged at epoch {epoch}: loss is not finite")
-            history.append(EpochStats(epoch, train_loss, test_loss))
-            if train_loss < best - 1e-12:
-                best = train_loss
-                stale = 0
+            history.append(history_row(net, components, epoch, train_split, test_split))
+            if history[-1].train_loss < history[best].train_loss - 1e-12:
+                best, best_params, stale = epoch, params.copy(), 0
             else:
                 stale += 1
                 if cfg.early_stop_patience > 0 and stale >= cfg.early_stop_patience:
                     break
 
-    return TrainResult(net=net, components=components, history=history)
+    set_parameters(net, components, layout, best_params)
+    return TrainResult(net=net, components=components, history=history, best=best)
 
 
 def history_csv(history: list[EpochStats]) -> str:

@@ -252,7 +252,7 @@ class TestCompose:
         assert main(["synth", "--seed", "7", "--out", str(out)]) == 0
         rep = tmp_path / "div.json"
         code = main(
-            ["compose", "dbcn", "--pool", str(out / "components.json"),
+            ["compose", "exhaustive", "--pool", str(out / "components.json"),
              "--data", str(out / "data.csv"), "--lr", "1e30", "--epochs", "20",
              "--patience", "5", "--report", str(rep)]
         )
@@ -260,6 +260,21 @@ class TestCompose:
         notes = json.loads(rep.read_text())["notes"]
         diverged = [n for n in notes if "failed training: diverged" in n]
         assert any("non-finite gradient" in n for n in diverged)
+
+    @pytest.mark.parametrize("mode, trains", [("dbcn", False), ("exhaustive", True)])
+    def test_note_when_training_settings_unread(self, bundle, tmp_path, mode, trains):
+        """With linear,sl over a pre-trained pool, every dbcn merge is solved
+        in closed form; exhaustive trains its opened variants."""
+        rep = tmp_path / f"{mode}.json"
+        code = main(
+            ["compose", mode, "--pool", str(bundle / "components.json"),
+             "--data", str(bundle / "data.csv"), "--activations", "linear,sl",
+             "--epochs", "5", "--report", str(rep)]
+        )
+        assert code == 0
+        notes = json.loads(rep.read_text())["notes"]
+        unread = [n for n in notes if "training settings" in n and "not read" in n]
+        assert len(unread) == (0 if trains else 1)
 
     def test_history_csv_per_candidate(self, bundle, tmp_path):
         rep, hist = tmp_path / "ex.json", tmp_path / "hist"
@@ -279,7 +294,10 @@ class TestCompose:
         for name, train_loss in expected.items():
             lines = (hist / name).read_text().splitlines()
             assert lines[0] == "epoch,train_loss,test_loss"
-            assert float(lines[-1].split(",")[1]) == train_loss
+            # the reported loss is the returned row's, and no row beats it
+            rows = [float(line.split(",")[1]) for line in lines[1:]]
+            assert train_loss in rows
+            assert min(rows) >= train_loss - 1e-12
 
 
 class TestVerifyCli:

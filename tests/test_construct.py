@@ -302,6 +302,28 @@ class TestDuplicateIds:
             build([comps[0], twin], data, _fast_cfg())
 
 
+class TestSettingsCheckedFirst:
+    @pytest.mark.parametrize(
+        "build, k0, schedule, message",
+        [
+            (cn.bbcn, 9, None, "k0 = 9 exceeds pool size 3"),
+            (cn.exhaustive, 9, None, "k0 = 9 exceeds pool size 3"),
+            (cn.exhaustive, 2, "ring", "unknown schedule 'ring'"),
+        ],
+        ids=["bbcn-k0", "exhaustive-k0", "exhaustive-schedule"],
+    )
+    def test_rejected_before_evaluation(self, task, monkeypatch, build, k0, schedule, message):
+        data, comps = task
+
+        def refuse_evaluation(*args, **kwargs):
+            raise AssertionError("evaluated a component of an invalid run")
+
+        monkeypatch.setattr("compnet.construct._component_state", refuse_evaluation)
+        kwargs = {} if schedule is None else {"schedule": schedule}
+        with pytest.raises(cn.ConstructionError, match=message):
+            build(comps[:3], data, _fast_cfg(k0=k0), **kwargs)
+
+
 class TestCandidateGuard:
     @pytest.mark.parametrize(
         "build", [cn.dbcn, cn.bbcn, cn.exhaustive], ids=["dbcn", "bbcn", "exhaustive"]
@@ -314,16 +336,17 @@ class TestCandidateGuard:
         # operand (dbcn, bbcn); exhaustive has four variant pairs per merge
         cfg = _fast_cfg(activations=tuple([cn.LINEAR] * 342))
 
-        class Trained(Exception):
+        class Fitted(Exception):
             pass
 
-        def refuse_training(*args, **kwargs):
-            raise Trained
+        def refuse_fit(*args, **kwargs):
+            raise Fitted
 
-        monkeypatch.setattr("compnet.construct.train", refuse_training)
+        # closed-form candidates never call ``train``, so stub the candidate fit
+        monkeypatch.setattr("compnet.construct._fit", refuse_fit)
         with pytest.raises(cn.ConstructionError, match="guard"):
             build(many, data, cfg)
-        with pytest.raises(Trained):
+        with pytest.raises(Fitted):
             build(many, data, cfg, allow_large=True)
 
 
@@ -341,14 +364,15 @@ class TestDeepPool:
         rng = np.random.default_rng(0)
         pool = [cn.Component.mlp(f"c{i}", [5, 1], rng) for i in range(size)]
 
-        class Trained(Exception):
+        class Fitted(Exception):
             pass
 
-        def refuse_training(*args, **kwargs):
-            raise Trained
+        def refuse_fit(*args, **kwargs):
+            raise Fitted
 
-        monkeypatch.setattr("compnet.construct.train", refuse_training)
-        with pytest.raises(Trained):
+        # closed-form candidates never call ``train``, so stub the candidate fit
+        monkeypatch.setattr("compnet.construct._fit", refuse_fit)
+        with pytest.raises(Fitted):
             build(pool, data, _fast_cfg(activations=(cn.LINEAR,)))
 
 
@@ -386,6 +410,6 @@ class TestReportShape:
         assert d["final"]["trainable"] >= 3
         net = cn.CompositeNetwork.from_dict(d["network"])
         reg = cn.registry(cn.Component.from_dict(c) for c in d["components"])
-        # the reported losses are the last epoch's, which evaluate computes
+        # the reported losses are the returned row's, which evaluate computes
         assert cn.loss_l2(net, reg, data, "train") == report.final_train_loss
         assert cn.loss_l2(net, reg, data, "test") == report.final_test_loss

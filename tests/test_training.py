@@ -295,14 +295,17 @@ def _chain(leaves, inner, root):
 
 def _reference_train(net, reg, data, cfg, trainable_nodes):
     """``train`` with nothing cached: every batch runs the whole network
-    through the public ``gradients`` and every epoch loss is ``loss_l2``."""
+    through the public ``gradients`` and every row's loss is ``loss_l2``.
+    Row 0 is the start; the parameters returned are the last row's that
+    improved on the best train loss by more than 1e-12."""
     net = net.copy()
     reg = {k: c.copy() for k, c in reg.items()}
     layout = cn.parameter_layout(net, reg, trainable_nodes)
     x, y = data.inputs[data.train_idx], data.labels[data.train_idx]
     rng = np.random.default_rng(cfg.seed)
     velocity = np.zeros(layout.size)
-    history, best, stale = [], np.inf, 0
+    history = [(cn.loss_l2(net, reg, data, "train"), cn.loss_l2(net, reg, data, "test"))]
+    best, params, stale = history[0][0], cn.get_parameters(net, reg, layout), 0
     for epoch in range(cfg.max_epochs):
         lr = cfg.lr_at(epoch)
         perm = rng.permutation(x.shape[0])
@@ -314,12 +317,12 @@ def _reference_train(net, reg, data, cfg, trainable_nodes):
         train_loss = cn.loss_l2(net, reg, data, "train")
         history.append((train_loss, cn.loss_l2(net, reg, data, "test")))
         if train_loss < best - 1e-12:
-            best, stale = train_loss, 0
+            best, params, stale = train_loss, cn.get_parameters(net, reg, layout), 0
         else:
             stale += 1
             if stale >= cfg.early_stop_patience:
                 break
-    return history, cn.get_parameters(net, reg, layout)
+    return history, params
 
 
 def _oracle_case(name, comps):
@@ -395,7 +398,7 @@ class TestCachedTraining:
             calls.clear()
             cfg = cn.TrainConfig(max_epochs=epochs, early_stop_patience=0, seed=1)
             result = cn.train(net, cn.registry(comps), data, cfg, trainable_nodes={"mix4"})
-            assert len(result.history) == epochs
+            assert len(result.history) == epochs + 1  # row 0 is the start
             counts.append(len(calls))
         # one forward per component reference per split, however long training runs
         assert counts[0] == counts[1] <= 2 * len(net.ref_nodes())
