@@ -492,7 +492,7 @@ def _cmd_impute(args):
     if args.out:
         save_grid_csv(args.out, filled)
         print(f"wrote {args.out}")
-    for row in filled:
+    for row in filled.tolist():
         print("  ".join(f"{v:8.3f}" for v in row))
     print(f"filled {n_filled} missing cells with k={args.k}")
     payload = {
@@ -500,7 +500,7 @@ def _cmd_impute(args):
         "rows": int(filled.shape[0]),
         "cols": int(filled.shape[1]),
         "filled_cells": n_filled,
-        "grid": [[float(v) for v in row] for row in filled],
+        "grid": filled.tolist(),
     }
     return payload, inputs
 

@@ -500,8 +500,17 @@ def _listed(pool) -> list[Component]:
 
 def _ordered(pool: list[Component], data) -> tuple[list[Component], list[_Operand]]:
     """The pool in construction order, and the plan leaf of each of its
-    components; each component is evaluated once, and ids must be unique."""
-    states = {cid: _component_state(c, data) for cid, c in registry(pool).items()}
+    components; each component is evaluated once, ids must be unique, and
+    each output width must be 1 or the label width."""
+    components = registry(pool)
+    labels = data.labels.shape[1]
+    for c in pool:
+        width = c.layers[-1].weights.shape[1]
+        if width not in (1, labels):
+            raise ConstructionError(
+                f"component {c.id!r} outputs {width} columns; the labels have {labels}"
+            )
+    states = {cid: _component_state(c, data) for cid, c in components.items()}
     losses = {c.id: states[c.id].train_loss for c in pool if c.kind == KIND_PRETRAINED}
     pool = order_components(pool, losses)
     return pool, [_Operand(c.id, states[c.id], fresh=not all(c.frozen)) for c in pool]

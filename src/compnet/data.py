@@ -13,6 +13,7 @@ violating draws are resampled.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -47,10 +48,16 @@ class GridSpec:
                 raise DataError(f"station {sid!r} at ({r}, {c}) is outside the grid")
 
 
+# distance entries per chunk of missing cells: each of the chunk's integer
+# arrays then takes 128 KB, and all of them together about 1 MB
+_KNN_CHUNK_ENTRIES = 1 << 14
+
+
 def knn_impute(grid_values, spec: GridSpec | None = None, k: int = 4) -> np.ndarray:
     """Fill missing (NaN) cells with the mean of the k nearest known
     cells by Euclidean distance on grid coordinates; distance ties break
-    by (row, col) order."""
+    by (row, col) order, and the mean sums the k values in that order.
+    A mean that overflows raises DataError naming its cell."""
     g = np.array(grid_values, dtype=float)
     if g.ndim != 2:
         raise DataError("grid must be 2-D")
@@ -69,11 +76,26 @@ def knn_impute(grid_values, spec: GridSpec | None = None, k: int = 4) -> np.ndar
     if missing.size == 0:
         return out
     known_values = g[known_mask]  # argwhere and boolean indexing share C order
-    for r, c in missing:
-        d2 = (known[:, 0] - r) ** 2 + (known[:, 1] - c) ** 2
-        # known is in (row, col) order, so a stable sort breaks ties by it
-        order = np.argsort(d2, kind="stable")
-        out[r, c] = float(np.mean(known_values[order[:k]]))
+    n_known = known.shape[0]
+    # known is in (row, col) order, so d2 * n_known + position sorts by
+    # distance and breaks ties by (row, col); each key is unique in its row
+    position = np.arange(n_known)
+    step = max(1, _KNN_CHUNK_ENTRIES // n_known)
+    means = np.empty(missing.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        for start in range(0, missing.shape[0], step):
+            cells = missing[start : start + step]
+            d2 = (cells[:, :1] - known[:, 0]) ** 2 + (cells[:, 1:] - known[:, 1]) ** 2
+            nearest = np.partition(d2 * n_known + position, k - 1, axis=1)[:, :k]
+            nearest.sort(axis=1)
+            # each row of this C-contiguous (cells, k) array sums in the
+            # order that np.mean of the k nearest values as one 1-D array does
+            means[start : start + step] = np.mean(known_values[nearest % n_known], axis=1)
+    bad = np.flatnonzero(~np.isfinite(means))
+    if bad.size:
+        r, c = missing[bad[0]]
+        raise DataError(f"the mean of the {k} nearest known cells overflows at ({r}, {c})")
+    out[missing[:, 0], missing[:, 1]] = means
     return out
 
 
@@ -408,7 +430,7 @@ def load_grid_csv(path) -> np.ndarray:
                 values = [np.nan if cell.strip() == "" else float(cell) for cell in row]
             except ValueError as exc:
                 raise DataError(f"{path}: line {line_no}: cannot parse cell ({exc})") from exc
-            bad = [cell for cell, v in zip(row, values) if cell.strip() and not np.isfinite(v)]
+            bad = [cell for cell, v in zip(row, values) if cell.strip() and not math.isfinite(v)]
             if bad:
                 raise DataError(f"{path}: line {line_no}: non-finite cell {bad[0]!r}")
             rows.append(values)
@@ -421,5 +443,5 @@ def save_grid_csv(path, grid: np.ndarray) -> None:
     grid = np.asarray(grid, dtype=float)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        for row in grid:
-            writer.writerow(["" if not np.isfinite(v) else repr(float(v)) for v in row])
+        for row in grid.tolist():
+            writer.writerow([repr(v) if math.isfinite(v) else "" for v in row])

@@ -247,6 +247,16 @@ class TestCompose:
         assert code == 2
         assert "duplicate component id 'f1'" in capsys.readouterr().err
 
+    def test_wrong_output_width_is_runtime_error(self, bundle, tmp_path, capsys):
+        pool = json.loads((bundle / "components.json").read_text())
+        wide = cn.Component.mlp("w2", [5, 2], np.random.default_rng(0))
+        pool["components"].append(wide.to_dict())
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(pool))
+        code = main(["compose", "dbcn", "--pool", str(path), "--data", str(bundle / "data.csv")])
+        assert code == 2
+        assert "component 'w2' outputs 2 columns; the labels have 1" in capsys.readouterr().err
+
     def test_diverging_candidates_are_recorded_not_fatal(self, tmp_path, capsys):
         out = tmp_path / "b7"
         assert main(["synth", "--seed", "7", "--out", str(out)]) == 0
@@ -381,6 +391,14 @@ class TestImpute:
         g.write_text(f"1,2,3\n4,{cell},6\n7,,9\n")
         assert main(["impute", "--grid", str(g), "--k", "2"]) == 2
         assert f"line 2: non-finite cell '{cell}'" in capsys.readouterr().err
+
+    def test_overflowing_mean_is_runtime_error(self, tmp_path, capsys):
+        g, out, rep = tmp_path / "g.csv", tmp_path / "filled.csv", tmp_path / "imp.json"
+        g.write_text("1e308,1e308\n1e308,\n")
+        argv = ["impute", "--grid", str(g), "--k", "3", "--out", str(out), "--report", str(rep)]
+        assert main(argv) == 2
+        assert "overflows at (1, 1)" in capsys.readouterr().err
+        assert not out.exists() and not rep.exists()
 
 
 class TestReportDirEnv:

@@ -302,6 +302,25 @@ class TestDuplicateIds:
             build([comps[0], twin], data, _fast_cfg())
 
 
+class TestOutputWidth:
+    @pytest.mark.parametrize(
+        "build", [cn.dbcn, cn.bbcn, cn.exhaustive], ids=["dbcn", "bbcn", "exhaustive"]
+    )
+    def test_wrong_width_rejected_before_evaluation(self, task, monkeypatch, build):
+        """A component must output 1 column or the label width."""
+        data, comps = task
+        wide = cn.Component.mlp("w2", [5, 2], np.random.default_rng(0))
+
+        def refuse_evaluation(*args, **kwargs):
+            raise AssertionError("evaluated a component of an invalid pool")
+
+        monkeypatch.setattr("compnet.construct._component_state", refuse_evaluation)
+        with pytest.raises(
+            cn.ConstructionError, match="component 'w2' outputs 2 columns; the labels have 1"
+        ):
+            build([comps[0], comps[1], wide], data, _fast_cfg(k0=2))
+
+
 class TestSettingsCheckedFirst:
     @pytest.mark.parametrize(
         "build, k0, schedule, message",

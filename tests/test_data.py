@@ -1,8 +1,10 @@
 """Data plumbing: imputation, interpolation, synthetic tasks, CSV."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import compnet as cn
 
@@ -46,6 +48,49 @@ class TestKnnImpute:
             if np.isfinite(g).sum() < k:
                 continue
             np.testing.assert_array_equal(cn.knn_impute(g, k=k), _brute_force_impute(g, k))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 12),
+        cols=st.integers(1, 12),
+        missing=st.floats(0.05, 0.9),
+        k=st.integers(1, 12),
+        integers=st.booleans(),
+    )
+    @example(seed=1, rows=1, cols=12, missing=0.3, k=3, integers=True)
+    @example(seed=2, rows=12, cols=1, missing=0.3, k=9, integers=False)
+    # about 800 known cells: 20 missing cells per chunk, and about 40 chunks
+    @example(seed=3, rows=40, cols=40, missing=0.5, k=8, integers=True)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_property(self, seed, rows, cols, missing, k, integers):
+        """Integer cells tie on value, and every grid ties on distance;
+        k >= 8 covers numpy's pairwise summation."""
+        rng = np.random.default_rng(seed)
+        if integers:
+            g = rng.integers(-3, 4, size=(rows, cols)).astype(float)
+        else:
+            g = rng.normal(size=(rows, cols))
+        g[rng.random(g.shape) < missing] = np.nan
+        assume(np.isfinite(g).sum() >= k)
+        np.testing.assert_array_equal(cn.knn_impute(g, k=k), _brute_force_impute(g, k))
+
+    def test_peak_memory_is_bounded(self):
+        """Chunking keeps the temporaries of a 120x120 grid near 1 MB."""
+        rng = np.random.default_rng(0)
+        g = rng.normal(size=(120, 120))
+        g[rng.random(g.shape) < 0.3] = np.nan
+        tracemalloc.start()
+        try:
+            cn.knn_impute(g, k=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_overflowing_mean_names_its_cell(self):
+        g = np.array([[1e308, 1e308], [1e308, np.nan]])
+        with pytest.raises(cn.DataError, match=r"overflows at \(1, 1\)"):
+            cn.knn_impute(g, k=3)
 
     def test_too_few_known_cells(self):
         g = np.full((3, 3), np.nan)
