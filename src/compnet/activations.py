@@ -154,7 +154,8 @@ class Activation:
 def _expit(z):
     # exp only ever sees non-positive arguments
     ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    denom = 1.0 + ez
+    return np.where(z >= 0, 1.0 / denom, ez / denom)
 
 
 LINEAR = Activation("linear")

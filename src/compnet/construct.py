@@ -228,6 +228,22 @@ def _theta_star(split: Split) -> np.ndarray:
     return solve_theta_star(build_gram(np.column_stack(cols), split.labels.ravel()))
 
 
+def _operand_splits(left: _State, right: _State, data: Dataset) -> list[Split | None]:
+    """The train and test splits (None when empty), each knowing both
+    operand outputs on its rows.  An opened copy of an operand has the
+    same weights, so every candidate of a merge reads these."""
+    return [
+        Split(
+            data.inputs[idx],
+            data.labels[idx],
+            {op.net.root: evaluate(op.net, op.comps, data.inputs[idx]) for op in (left, right)},
+        )
+        if idx.size
+        else None
+        for idx in (data.train_idx, data.test_idx)
+    ]
+
+
 def _fit(
     left: _State,
     right: _State,
@@ -238,24 +254,16 @@ def _fit(
     opened: set[str],
     data: Dataset,
     cfg: ConstructionConfig,
+    splits: list[Split | None],
 ) -> tuple[_State | None, CandidateRecord, str | None]:
     """Build the candidate activation(mix(left, right)), with its mixing
     weights at theta*, the least-squares mix of the operand outputs on the
     train rows (the left operand passed through when A1 fails).  A
     ``_closed_form`` candidate is that start; any other trains its mixing
-    weights plus the blocks of the ``opened`` components from it.  Returns
-    the state, the candidate record and the error (the state is None when
-    the candidate failed)."""
-    splits = [
-        Split(
-            data.inputs[idx],
-            data.labels[idx],
-            {op.net.root: evaluate(op.net, op.comps, data.inputs[idx]) for op in (left, right)},
-        )
-        if idx.size
-        else None
-        for idx in (data.train_idx, data.test_idx)
-    ]
+    weights plus the blocks of the ``opened`` components from it.
+    ``splits`` are the merge's ``_operand_splits``, shared by its
+    candidates.  Returns the state, the candidate record and the error
+    (the state is None when the candidate failed)."""
     note = ""
     try:
         theta = _theta_star(splits[0])
@@ -273,7 +281,8 @@ def _fit(
     total = count_parameters(net, comps)["total"]
     try:
         if _closed_form(activation, opened):
-            history, best = [history_row(net, comps, 0, *splits)], 0
+            with np.errstate(over="ignore"):
+                history, best = [history_row(net, comps, 0, *splits)], 0
         else:
             tcfg = replace(cfg.train_cfg, seed=_derive_seed(cfg.train_cfg.seed, seed_key))
             result = train(net, comps, data, tcfg, trainable_nodes=trainable)
@@ -435,6 +444,7 @@ def _execute(
                 comps = {cid: comp.opened_copy() for cid, comp in op.state.comps.items()}
                 open_state = replace(op.state, comps=comps)
             variants.append([(mark, op.state if mark == "x" else open_state) for mark in marks])
+        splits = _operand_splits(m.left.state, m.right.state, data)
         outcomes = []
         for act in cfg.activations:
             for (lmark, lstate), (rmark, rstate) in itertools.product(*variants):
@@ -449,7 +459,9 @@ def _execute(
                 }
                 trained = trained or not _closed_form(act, opened)
                 outcomes.append(
-                    _fit(lstate, rstate, act, ids, description, seed_key, opened, data, cfg)
+                    _fit(
+                        lstate, rstate, act, ids, description, seed_key, opened, data, cfg, splits
+                    )
                 )
         m.state, record, step_notes = _select(m.label, outcomes, cfg)
         steps.append(record)

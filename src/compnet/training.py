@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .activations import Activation
 from .model import (
     Activate,
     Combine,
@@ -22,9 +23,9 @@ from .model import (
     EvaluationError,
     _children_of,
     _checked_values,
+    _residual_loss,
     evaluate,
     node_values,
-    residual_loss,
 )
 
 
@@ -83,9 +84,19 @@ class TrainResult:
 
 @dataclass
 class ParamLayout:
+    """Where each trained parameter sits in the flat vector, and which
+    nodes the parameters move.  Everything here is worked out once, by
+    ``parameter_layout``; ``gradients`` only reads it."""
+
     combines: list[tuple[str, int, int]]  # (combine id, start, stop) in the flat vector
     blocks: list[tuple[str, int, int, int]]  # (component id, layer index, start, stop)
     size: int
+    combine_spans: dict[str, tuple[int, int]]  # the same spans, by combine id
+    block_spans: dict[tuple[str, int], tuple[int, int]]  # ... and by (component id, layer)
+    opened: dict[str, int]  # component id -> its lowest layer with a block here
+    live: tuple[str, ...]  # nodes a parameter here moves, in postorder
+    frozen: frozenset[str]  # every other node
+    read: frozenset[str]  # frozen nodes that live nodes read, and the root if frozen
 
 
 def parameter_layout(
@@ -121,7 +132,35 @@ def parameter_layout(
         n = components[comp_id].layers[li].size
         blocks.append((comp_id, li, offset, offset + n))
         offset += n
-    return ParamLayout(combines, blocks, offset)
+    combine_spans = {cid: (start, stop) for cid, start, stop in combines}
+    opened: dict[str, int] = {}
+    for comp_id, li, *_ in blocks:
+        opened.setdefault(comp_id, li)
+    # a node is live when a parameter here moves its value: an opened
+    # component, a trained combine, or any node above a live one
+    live: dict[str, None] = {}
+    for node in net.nodes:
+        if isinstance(node, ComponentRef):
+            is_live = node.component in opened
+        elif isinstance(node, Combine):
+            is_live = node.id in combine_spans or any(c in live for c in node.children)
+        else:
+            is_live = node.child in live
+        if is_live:
+            live[node.id] = None
+    frozen = frozenset(node.id for node in net.nodes if node.id not in live)
+    read = {c for node in net.nodes if node.id in live for c in _children_of(node)}
+    return ParamLayout(
+        combines,
+        blocks,
+        offset,
+        combine_spans,
+        {(cid, li): (start, stop) for cid, li, start, stop in blocks},
+        opened,
+        tuple(live),
+        frozen,
+        frozen & (read | {net.root}),
+    )
 
 
 def get_parameters(net, components, layout: ParamLayout) -> np.ndarray:
@@ -147,6 +186,18 @@ def set_parameters(net, components, layout: ParamLayout, flat: np.ndarray) -> No
         layer.bias[...] = flat[mid:stop]
 
 
+def _bind(net, components, layout: ParamLayout, flat: np.ndarray) -> None:
+    """Make every array that ``layout`` covers a view into ``flat``, so a
+    step taken on ``flat`` moves the network with no copy."""
+    for cid, start, stop in layout.combines:
+        net.node(cid).theta = flat[start:stop]
+    for comp_id, li, start, stop in layout.blocks:
+        layer = components[comp_id].layers[li]
+        mid = start + layer.weights.size  # weights, then bias
+        layer.weights = flat[start:mid].reshape(layer.weights.shape)
+        layer.bias = flat[mid:stop]
+
+
 def gradients(
     net: CompositeNetwork,
     components: dict[str, Component],
@@ -162,7 +213,9 @@ def gradients(
     ``known`` (optional) gives the values of nodes that no parameter in
     the layout moves (see ``node_values``); the backward pass stops at
     them, so only those that computed nodes read, and the root, need the
-    batch's rows.
+    batch's rows.  Only the layout's live nodes carry adjoints, as no
+    parameter sits below a frozen node, and when ``known`` names every
+    node of ``layout.read`` only the live nodes are computed.
     """
     if layout is None:
         layout = parameter_layout(net, components)
@@ -174,32 +227,32 @@ def gradients(
     if batch == 0:
         raise GradientError("empty batch")
 
-    traces: dict[str, list] = {}
-    values = node_values(net, components, inputs, traces, known)
+    live = [net.node(nid) for nid in layout.live]
     known = known or {}
+    traces: dict[str, list] = {}
+    nodes = live if layout.read <= known.keys() else None
+    values = node_values(net, components, inputs, traces, known, nodes)
     pred = values[net.root]
     if pred.shape != labels.shape:
         raise GradientError(f"prediction shape {pred.shape} != label shape {labels.shape}")
 
     flat = np.zeros(layout.size)
-    combine_spans = {cid: (start, stop) for cid, start, stop in layout.combines}
-    block_spans = {(cid, li): (start, stop) for cid, li, start, stop in layout.blocks}
-    open_components = {cid for cid, *_ in layout.blocks}
     adjoint: dict[str, np.ndarray] = {net.root: 2.0 * (pred - labels) / batch}
+    written: set[str] = set()  # opened components whose blocks hold a term
 
-    for node in reversed(net.nodes):
+    for node in reversed(live):
         a = adjoint.get(node.id)
         if a is None or node.id in known:
             continue
         if isinstance(node, Combine):
-            if node.id in combine_spans:
-                start, stop = combine_spans[node.id]
-                g = flat[start:stop]
+            span = layout.combine_spans.get(node.id)
+            if span is not None:
+                g = flat[span[0] : span[1]]
                 g[0] += a.sum()
                 for j, child in enumerate(node.children):
                     g[j + 1] += float((a * values[child]).sum())
             for w, child in zip(node.theta[1:], node.children):
-                if child in known:
+                if child in layout.frozen or child in known:
                     continue
                 ca = w * a
                 cw = values[child].shape[1]
@@ -207,32 +260,56 @@ def gradients(
                     ca = ca.sum(axis=1, keepdims=True)
                 _accumulate(adjoint, child, ca)
         elif isinstance(node, Activate):
-            deriv = node.activation.derivative(values[node.child])
-            _accumulate(adjoint, node.child, a * deriv)
-        else:  # ComponentRef
-            comp = components[node.component]
-            if node.component not in open_components:
-                continue
-            d = a
-            for li in range(len(comp.layers) - 1, -1, -1):
-                layer = comp.layers[li]
-                xin, pre = traces[node.id][li]
-                dpre = d * layer.activation.derivative(pre)
-                span = block_spans.get((node.component, li))
+            da = _through(node.activation, a, values[node.child], values[node.id])
+            _accumulate(adjoint, node.child, da)
+        else:  # an opened ComponentRef
+            layers = components[node.component].layers
+            trace = traces[node.id]
+            d, out = a, values[node.id]
+            lowest = layout.opened[node.component]  # nothing below it trains
+            first = node.component not in written  # its spans still hold zeros
+            written.add(node.component)
+            for li in range(len(layers) - 1, lowest - 1, -1):
+                layer = layers[li]
+                xin, pre = trace[li]
+                dpre = _through(layer.activation, d, pre, out)
+                span = layout.block_spans.get((node.component, li))
                 if span is not None:
                     start, stop = span
                     mid = start + layer.weights.size
-                    flat[start:mid] += (xin.T @ dpre).ravel()
-                    flat[mid:stop] += dpre.sum(axis=0)
-                if li > 0:
-                    d = dpre @ layer.weights.T
+                    w_grad = flat[start:mid].reshape(layer.weights.shape)
+                    if first:
+                        np.matmul(xin.T, dpre, out=w_grad)
+                        np.add.reduce(dpre, 0, out=flat[mid:stop])
+                    else:
+                        w_grad += xin.T @ dpre
+                        flat[mid:stop] += dpre.sum(axis=0)
+                if li > lowest:
+                    d, out = dpre @ layer.weights.T, xin
 
-    if not np.all(np.isfinite(flat)):
+    # blocks written above without a sum into zeros: adding 0.0 turns a
+    # -0.0 into +0.0, so every entry is the bits a sum into zeros gives
+    flat += 0.0
+    if not np.isfinite(flat).all():
         spans = [(f"combine {cid}.theta", i, j) for cid, i, j in layout.combines]
         spans += [(f"component {cid} layer {li}", i, j) for cid, li, i, j in layout.blocks]
         bad = [name for name, i, j in spans if not np.all(np.isfinite(flat[i:j]))]
         raise NonFiniteGradientError(f"non-finite gradient entries at: {', '.join(bad)}")
     return flat
+
+
+def _through(activation: Activation, d: np.ndarray, z: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``d * activation.derivative(z)``, where ``h = activation.value(z)``.
+    The linear derivative is ones, and the tanh and logistic derivatives
+    are functions of ``h``, so those take the same bits from fewer
+    operations."""
+    if activation.tag == "linear":
+        return d
+    if activation.tag == "tanh":
+        return d * (1.0 - h * h)
+    if activation.tag == "logistic":
+        return d * (h * (1.0 - h))
+    return d * activation.derivative(z)
 
 
 def _accumulate(adjoint: dict, key: str, value: np.ndarray) -> None:
@@ -257,27 +334,6 @@ class Split:
     known: dict[str, np.ndarray]
 
 
-def _frozen_nodes(net: CompositeNetwork, layout: ParamLayout) -> tuple[set[str], set[str]]:
-    """Frozen nodes (no trained combine or opened component in their
-    subtree), and those a batch reads: the ones live nodes consume, and
-    the root."""
-    trained = {cid for cid, *_ in layout.combines}
-    opened = {cid for cid, *_ in layout.blocks}
-    live: set[str] = set()
-    for node in net.nodes:
-        if isinstance(node, ComponentRef):
-            is_live = node.component in opened
-        elif isinstance(node, Combine):
-            is_live = node.id in trained or any(c in live for c in node.children)
-        else:
-            is_live = node.child in live
-        if is_live:
-            live.add(node.id)
-    frozen = {node.id for node in net.nodes} - live
-    read = {c for node in net.nodes if node.id in live for c in _children_of(node)}
-    return frozen, frozen & (read | {net.root})
-
-
 def _cache_split(net, components, frozen, inputs, labels) -> Split:
     # frozen nodes have only frozen children, so they make a network of
     # their own, which is checked as ``evaluate`` checks every node
@@ -299,10 +355,12 @@ def history_row(
 ) -> EpochStats:
     """One history row: ``evaluate``'s losses of the network on both splits
     (nan for an empty test split).  A network that ``evaluate`` rejects,
-    or a train loss that is not finite, is a ``TrainingError``."""
+    or a train loss that is not finite, is a ``TrainingError``.  Call it
+    under ``np.errstate(over="ignore")``: a loss too large to square is
+    inf, and that is the divergence reported here."""
     try:
         train_loss, test_loss = (
-            residual_loss(evaluate(net, components, split.inputs, split.known), split.labels)
+            _residual_loss(evaluate(net, components, split.inputs, split.known), split.labels)
             if split
             else float("nan")
             for split in (train_split, test_split)
@@ -336,6 +394,11 @@ def train(
     recomputes only the nodes above them.  Row losses are ``evaluate``'s.
     Divergence is reported as a ``TrainingError``, so numpy overflow
     warnings are silenced here.
+
+    Every trained array of the copy is a view into one flat parameter
+    vector, so a step moves the network in place, and the layout (spans,
+    live nodes, the frozen nodes a batch reads) is worked out once per
+    call.
     """
     net = net.copy()
     components = {k: c.copy() for k, c in components.items()}
@@ -352,11 +415,11 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     velocity = np.zeros(layout.size)
     params = get_parameters(net, components, layout)
+    _bind(net, components, layout, params)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        frozen, read = _frozen_nodes(net, layout)
         train_split, test_split = (
-            _cache_split(net, components, frozen, data.inputs[idx], data.labels[idx])
+            _cache_split(net, components, layout.frozen, data.inputs[idx], data.labels[idx])
             if idx.size
             else None
             for idx in (data.train_idx, data.test_idx)
@@ -365,25 +428,23 @@ def train(
         best, best_params, stale = 0, params.copy(), 0
         for epoch in range(1, cfg.max_epochs + 1):
             lr = cfg.lr_at(epoch - 1)
+            # the epoch's rows in batch order; each batch is a slice of them
             perm = rng.permutation(n_train)
+            inputs, labels = train_split.inputs[perm], train_split.labels[perm]
+            read = {nid: train_split.known[nid][perm] for nid in layout.read}
             for start in range(0, n_train, cfg.batch_size):
-                idx = perm[start : start + cfg.batch_size]
-                # the other frozen nodes keep the split's rows: nothing reads them
-                known = {**train_split.known, **{nid: train_split.known[nid][idx] for nid in read}}
+                rows = slice(start, start + cfg.batch_size)
+                known = {nid: values[rows] for nid, values in read.items()}
                 try:
                     grad = gradients(
-                        net,
-                        components,
-                        train_split.inputs[idx],
-                        train_split.labels[idx],
-                        layout=layout,
-                        known=known,
+                        net, components, inputs[rows], labels[rows], layout=layout, known=known
                     )
                 except NonFiniteGradientError as exc:
                     raise TrainingError(f"diverged at epoch {epoch}: {exc}") from exc
-                velocity = MOMENTUM * velocity - lr * grad
+                # the bits of ``velocity = MOMENTUM * velocity - lr * grad``
+                velocity *= MOMENTUM
+                velocity -= lr * grad
                 params += velocity
-                set_parameters(net, components, layout, params)
             history.append(history_row(net, components, epoch, train_split, test_split))
             if history[-1].train_loss < history[best].train_loss - 1e-12:
                 best, best_params, stale = epoch, params.copy(), 0
@@ -392,7 +453,7 @@ def train(
                 if cfg.early_stop_patience > 0 and stale >= cfg.early_stop_patience:
                     break
 
-    set_parameters(net, components, layout, best_params)
+    params[:] = best_params
     return TrainResult(net=net, components=components, history=history, best=best)
 
 

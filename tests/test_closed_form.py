@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import compnet as cn
-from compnet.construct import _component_state, _fit
+from compnet.construct import _component_state, _fit, _operand_splits
 
 from conftest import linear_mix_network
 
@@ -74,7 +74,7 @@ def _states(m, extra_width_one=False):
 def _fit_frozen(left, right, activation, data):
     state, record, err = _fit(
         left, right, activation, itertools.count(1), f"{activation.label}(a,b)", "k",
-        set(), data, _cfg(),
+        set(), data, _cfg(), _operand_splits(left, right, data),
     )
     assert err is None
     return state, record

@@ -104,7 +104,7 @@ class TestDbcn:
         report = cn.dbcn(pool, data, cfg)
         import itertools
 
-        from compnet.construct import _component_state, _fit
+        from compnet.construct import _component_state, _fit, _operand_splits
 
         ids = itertools.count(1)
         state = _component_state(pool[0], data)
@@ -123,6 +123,7 @@ class TestDbcn:
                     opened=set(),
                     data=data,
                     cfg=cfg,
+                    splits=_operand_splits(state, right, data),
                 )
                 assert err is None
                 outcomes.append((record.train_loss, record.description, trained))

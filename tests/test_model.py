@@ -252,6 +252,19 @@ class TestLoss:
         # pytest turns a leaked RuntimeWarning into an error here
         assert cn.residual_loss(np.array([1e200]), np.array([0.0])) == np.inf
 
+    @pytest.mark.parametrize(
+        "pred, labels",
+        [
+            ([1e308], [-1e308]),  # the residual itself overflows
+            ([1e154] * 4, [0.0] * 4),  # every square is finite, their sum is not
+            ([[1e200, 0.0]], [[0.0, 0.0]]),  # one column of two
+        ],
+        ids=["difference", "sum", "two-columns"],
+    )
+    def test_every_residual_overflow_is_inf_without_warning(self, pred, labels):
+        # a direct call, outside any caller's np.errstate
+        assert cn.residual_loss(np.array(pred), np.array(labels)) == np.inf
+
 
 class TestCountParameters:
     def test_combine_over_two_scalar_components(self, rng):

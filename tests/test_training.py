@@ -402,3 +402,212 @@ class TestCachedTraining:
             counts.append(len(calls))
         # one forward per component reference per split, however long training runs
         assert counts[0] == counts[1] <= 2 * len(net.ref_nodes())
+
+
+def _opened_case(name, data, comps):
+    """A trained combine over a frozen SL merge and an opened component
+    whose hidden layer (and the root activation) is ``name``; or, for
+    "two-labels", a two-column task where a width-2 and a width-1 opened
+    component meet in one combine."""
+    rng = np.random.default_rng(11)
+    reg = cn.registry(comps)
+    if name == "two-labels":
+        y = data.labels[:, 0]
+        data = cn.Dataset(data.inputs, np.column_stack([y, y * y]), data.train_idx, data.test_idx)
+        reg["w"] = cn.Component.mlp("w", [5, 4, 2], rng, kind=cn.KIND_OPEN, role=cn.ROLE_AUX)
+        reg["f3"] = reg["f3"].opened_copy()
+        nodes = [cn.ComponentRef(r, c) for r, c in (("r0", "f1"), ("rw", "w"), ("r3", "f3"))]
+        nodes.append(cn.Combine("top", ["r0", "rw", "r3"], np.array([0.0, 0.4, 0.3, 0.3])))
+        return cn.CompositeNetwork(nodes, "top"), reg, data, {"top", "rw", "r3"}
+    act = cn.parse_activation(name)
+    layers = [
+        cn.AffineLayer(rng.normal(scale=0.5, size=(5, 4)), rng.normal(scale=0.1, size=4), act),
+        cn.AffineLayer(rng.normal(scale=0.5, size=(4, 1)), np.zeros(1), cn.LINEAR),
+    ]
+    reg["o"] = cn.Component("o", cn.KIND_OPEN, cn.ROLE_AUX, layers)
+    nodes = [*_chain(["f1", "f2"], cn.SL, cn.SL).nodes, cn.ComponentRef("ro", "o")]
+    nodes.append(cn.Combine("top", ["act1", "ro"], np.array([0.0, 0.5, 0.5])))
+    nodes.append(cn.Activate("out", "top", act))
+    return cn.CompositeNetwork(nodes, "out"), reg, data, {"top", "ro"}
+
+
+def _reference_result(net, reg, data, cfg, trainable_nodes=None):
+    """``_reference_train`` as a ``TrainResult``: a copy carrying the
+    reference's parameters, and the last row that improved on the best
+    train loss by more than 1e-12 as ``best``."""
+    history, params = _reference_train(net, reg, data, cfg, trainable_nodes)
+    net, reg = net.copy(), {k: c.copy() for k, c in reg.items()}
+    cn.set_parameters(net, reg, cn.parameter_layout(net, reg, trainable_nodes), params)
+    best = 0
+    for i, (train_loss, _) in enumerate(history):
+        if train_loss < history[best][0] - 1e-12:
+            best = i
+    rows = [cn.EpochStats(i, train, test) for i, (train, test) in enumerate(history)]
+    return cn.TrainResult(net, reg, rows, best)
+
+
+def _textbook_gradient(comp, theta, act, x, y):
+    """The batch gradient of act(theta0 + theta1 * comp(x)), written out
+    with ``Activation.derivative`` of every pre-activation, and every
+    sum taken as ``gradients`` takes it: combine theta, then each layer's
+    weights and bias."""
+    hs, pres = [x], []
+    for layer in comp.layers:
+        pres.append(hs[-1] @ layer.weights + layer.bias)
+        hs.append(layer.activation.value(pres[-1]))
+    top = np.full((x.shape[0], 1), theta[0]) + theta[1] * hs[-1]
+    a = 2.0 * (act.value(top) - y) / x.shape[0] * act.derivative(top)
+    grad = [np.array([0.0 + a.sum(), 0.0 + float((a * hs[-1]).sum())])]
+    d, blocks = theta[1] * a, []
+    for li in range(len(comp.layers) - 1, -1, -1):
+        layer = comp.layers[li]
+        dpre = d * layer.activation.derivative(pres[li])
+        blocks.insert(0, [0.0 + (hs[li].T @ dpre).ravel(), 0.0 + dpre.sum(axis=0)])
+        d = dpre @ layer.weights.T
+    return np.concatenate(grad + [part for block in blocks for part in block])
+
+
+def _arrays(net, comps):
+    arrays = [node.theta for node in net.combine_nodes()]
+    layers = [layer for c in comps.values() for layer in c.layers]
+    return arrays + [a for layer in layers for a in (layer.weights, layer.bias)]
+
+
+class TestCompiledStep:
+    @pytest.mark.parametrize("name", ["tanh", "logistic", "relu", "linear", "two-labels"])
+    def test_derivative_shortcuts_match_reference_bit_for_bit(self, small_task, name):
+        """Linear layers skip their multiply by ones, and tanh and
+        logistic layers take their derivative from the forward output;
+        the bits must not move."""
+        data, comps = small_task
+        net, reg, data, trainable = _opened_case(name, data, comps)
+        cfg = cn.TrainConfig(max_epochs=10, early_stop_patience=3, seed=5)
+        result = cn.train(net, reg, data, cfg, trainable_nodes=trainable)
+        history, params = _reference_train(net, reg, data, cfg, trainable)
+        assert len(history) > 2
+        assert [(h.train_loss, h.test_loss) for h in result.history] == history
+        layout = cn.parameter_layout(result.net, result.components, trainable)
+        np.testing.assert_array_equal(
+            cn.get_parameters(result.net, result.components, layout), params
+        )
+
+    @pytest.mark.parametrize("hidden", ["tanh", "logistic", "relu", "linear", "sl"])
+    @pytest.mark.parametrize("outer", ["tanh", "logistic", "linear", "sl"])
+    def test_gradient_matches_textbook_backprop_bit_for_bit(self, small_task, hidden, outer):
+        """The trainer's reference above runs the same ``gradients``; this
+        one multiplies by ``Activation.derivative`` everywhere, so it pins
+        the shortcuts that take a derivative from the forward output."""
+        data, _ = small_task
+        rng = np.random.default_rng(3)
+        layers = [
+            cn.AffineLayer(
+                rng.normal(size=(5, 6)), rng.normal(size=6), cn.parse_activation(hidden)
+            ),
+            cn.AffineLayer(rng.normal(size=(6, 1)), rng.normal(size=1), cn.parse_activation(outer)),
+        ]
+        comp = cn.Component("o", cn.KIND_OPEN, cn.ROLE_AUX, layers)
+        theta, act = np.array([0.1, 0.7]), cn.parse_activation(outer)
+        net = cn.CompositeNetwork(
+            [
+                cn.ComponentRef("r", "o"),
+                cn.Combine("top", ["r"], theta),
+                cn.Activate("out", "top", act),
+            ],
+            "out",
+        )
+        x, y = data.inputs[:32], data.labels[:32]
+        np.testing.assert_array_equal(
+            cn.gradients(net, {"o": comp}, x, y), _textbook_gradient(comp, theta, act, x, y)
+        )
+
+    def test_zero_entries_carry_the_sign_a_sum_into_zeros_gives(self, small_task):
+        """A dead relu unit under an adjoint of one sign has a bias
+        gradient summed from -0.0 terms alone.  However the reduction
+        starts its sum, the entry must read +0.0, as the textbook's sum
+        into zeros does."""
+        data, _ = small_task
+        rng = np.random.default_rng(5)
+        bias = np.zeros(4)
+        bias[0] = -1e3  # unit 0 never fires
+        weights = rng.normal(size=(4, 1))
+        weights[0] = -1.0
+        layers = [
+            cn.AffineLayer(rng.normal(size=(5, 4)), bias, cn.RELU),
+            cn.AffineLayer(weights, np.zeros(1), cn.LINEAR),
+        ]
+        comp = cn.Component("o", cn.KIND_OPEN, cn.ROLE_AUX, layers)
+        theta = np.array([100.0, 1.0])  # every prediction above its label
+        net = cn.CompositeNetwork(
+            [cn.ComponentRef("r", "o"), cn.Combine("top", ["r"], theta)], "top"
+        )
+        x, y = data.inputs[:32], data.labels[:32]
+        got = cn.gradients(net, {"o": comp}, x, y)
+        expected = _textbook_gradient(comp, theta, cn.LINEAR, x, y)
+        dead_bias = 2 + 5 * 4  # after theta and the first layer's weights
+        assert got[dead_bias] == 0.0 and not np.signbit(expected[dead_bias])
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("schedule", ["chain", "balanced"])
+    def test_exhaustive_reports_match_reference_trainer(self, small_task, monkeypatch, schedule):
+        data, comps = small_task
+        tcfg = cn.TrainConfig(max_epochs=6, early_stop_patience=2, seed=3)
+        cfg = cn.ConstructionConfig(train_cfg=tcfg)
+        expected = cn.exhaustive(comps, data, cfg, schedule=schedule).to_dict()
+        monkeypatch.setattr("compnet.construct.train", _reference_result)
+        assert cn.exhaustive(comps, data, cfg, schedule=schedule).to_dict() == expected
+
+    def test_known_that_misses_a_read_node_computes_the_rest(self, small_task):
+        data, comps = small_task
+        net, reg, trainable = _oracle_case("cached-and-open-merge", comps)
+        layout = cn.parameter_layout(net, reg, trainable)
+        x, y = data.inputs[:32], data.labels[:32]
+        values = cn.node_values(net, reg, x)
+        expected = cn.gradients(net, reg, x, y, layout=layout)
+        assert layout.read
+        for known in ({}, {nid: values[nid] for nid in layout.read}):
+            got = cn.gradients(net, reg, x, y, layout=layout, known=known)
+            np.testing.assert_array_equal(got, expected)
+
+    def test_parameters_are_read_once_and_never_copied_back(self, small_task, monkeypatch):
+        """Inside ``train`` the network's arrays are views into the flat
+        vector, so neither accessor runs per batch or per epoch."""
+        data, comps = small_task
+        reg = cn.registry(comps)
+        reg["f3"] = reg["f3"].opened_copy()
+        net = _sandwich_net(comps)
+        calls = []
+        for name in ("get_parameters", "set_parameters"):
+            original = getattr(cn.training, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(cn.training, name, counting)
+        counts = []
+        for epochs in (2, 8):
+            calls.clear()
+            cfg = cn.TrainConfig(max_epochs=epochs, early_stop_patience=0, seed=1)
+            result = cn.train(net, reg, data, cfg)
+            assert len(result.history) == epochs + 1
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1] == ["get_parameters"]
+
+    def test_result_arrays_alias_neither_input_nor_another_result(self, small_task):
+        data, comps = small_task
+        reg = cn.registry(comps)
+        reg["f1"] = reg["f1"].opened_copy()
+        net = _sandwich_net(comps)
+        cfg = cn.TrainConfig(max_epochs=3, seed=2)
+        a = cn.train(net, reg, data, cfg)
+        b = cn.train(net, reg, data, cfg)
+        for x in _arrays(a.net, a.components):
+            for y in _arrays(net, reg) + _arrays(b.net, b.components):
+                assert not np.shares_memory(x, y)
+        # and moving one result leaves the other and the input alone
+        before = [y.copy() for y in _arrays(net, reg) + _arrays(b.net, b.components)]
+        for x in _arrays(a.net, a.components):
+            x += 1.0
+        after = _arrays(net, reg) + _arrays(b.net, b.components)
+        assert all(np.array_equal(u, v) for u, v in zip(before, after))
