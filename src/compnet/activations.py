@@ -81,6 +81,19 @@ class Activation:
             return (2.0 * self.out_range / self.scale) * s * (1.0 - s)
         return (z > 0).astype(float)
 
+    def backprop(self, d, z, h):
+        """``d * derivative(z)``, where ``h = value(z)``.  The linear
+        derivative is ones, and the tanh and logistic derivatives are
+        functions of ``h``, so those take the same bits from fewer
+        operations."""
+        if self.tag == "linear":
+            return d
+        if self.tag == "logistic":
+            return d * (h * (1.0 - h))
+        if self.tag == "tanh":
+            return d * (1.0 - h * h)
+        return d * self.derivative(z)
+
     def centered_value(self, delta):
         """value(delta) - value(0), computed without cancellation.
 
@@ -154,8 +167,7 @@ class Activation:
 def _expit(z):
     # exp only ever sees non-positive arguments
     ez = np.exp(-np.abs(z))
-    denom = 1.0 + ez
-    return np.where(z >= 0, 1.0 / denom, ez / denom)
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 LINEAR = Activation("linear")

@@ -281,8 +281,7 @@ def _fit(
     total = count_parameters(net, comps)["total"]
     try:
         if _closed_form(activation, opened):
-            with np.errstate(over="ignore"):
-                history, best = [history_row(net, comps, 0, *splits)], 0
+            history, best = [history_row(net, comps, 0, *splits)], 0
         else:
             tcfg = replace(cfg.train_cfg, seed=_derive_seed(cfg.train_cfg.seed, seed_key))
             result = train(net, comps, data, tcfg, trainable_nodes=trainable)

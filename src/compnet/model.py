@@ -350,16 +350,13 @@ def node_values(
     inputs: np.ndarray,
     traces: dict[str, list] | None = None,
     known: dict[str, np.ndarray] | None = None,
-    nodes: list[Node] | None = None,
 ) -> dict[str, np.ndarray]:
     """Value of every node on every input row, children before parents.
 
     ``traces`` (optional, output) maps each component-reference node id
     to its per-layer trace (see ``Component.forward``).  ``known``
     (optional) gives precomputed values for some nodes; those nodes are
-    not computed, and their values are returned as given.  ``nodes``
-    (optional) computes only those of the network's nodes, in postorder;
-    each node they read must be among them or in ``known``.
+    not computed, and their values are returned as given.
 
     A numpy ``FloatingPointError`` (raised when the caller runs this under
     ``np.errstate(..., "raise")``) becomes an ``EvaluationError`` naming the
@@ -368,11 +365,7 @@ def node_values(
     inputs = np.asarray(inputs, dtype=float)
     known = known or {}
     values: dict[str, np.ndarray] = {}
-    if nodes is None:
-        nodes = net.nodes
-    else:
-        values.update(known)
-    for node in nodes:
+    for node in net.nodes:
         if node.id in known:
             values[node.id] = known[node.id]
             continue
@@ -384,8 +377,7 @@ def node_values(
                 trace = None if traces is None else traces.setdefault(node.id, [])
                 v = comp.forward(inputs, trace)
             elif isinstance(node, Combine):
-                v = np.empty((inputs.shape[0], 1))
-                v.fill(node.theta[0])
+                v = np.full((inputs.shape[0], 1), node.theta[0])
                 for w, child in zip(node.theta[1:], node.children):
                     try:
                         v = v + w * values[child]
@@ -429,7 +421,7 @@ def _checked_values(
     with np.errstate(over="raise", invalid="raise"):
         values = node_values(net, components, inputs, known=known)
     for node in net.nodes:
-        if node.id not in known and not np.isfinite(values[node.id]).all():
+        if node.id not in known and not np.all(np.isfinite(values[node.id])):
             raise EvaluationError("non-finite value produced", node.id)
     return values
 
@@ -491,14 +483,6 @@ def loss_l2(
 def residual_loss(pred: np.ndarray, labels: np.ndarray) -> float:
     """Mean over rows of the squared residual norm: the package's one scalar
     loss.  A residual too large to square gives inf, with no warning."""
-    with np.errstate(over="ignore"):
-        return _residual_loss(pred, labels)
-
-
-def _residual_loss(pred: np.ndarray, labels: np.ndarray) -> float:
-    """``residual_loss`` for a caller that already runs under
-    ``np.errstate(over="ignore")``, as ``train`` does: entering it costs
-    more than the formula on a small batch."""
     pred = np.asarray(pred, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if labels.ndim == 1:
@@ -507,8 +491,9 @@ def _residual_loss(pred: np.ndarray, labels: np.ndarray) -> float:
         pred = pred[:, None]
     if pred.shape[0] != labels.shape[0]:
         raise ModelError("prediction/label row mismatch")
-    diff = pred - labels
-    return float(np.sum(diff * diff) / labels.shape[0])
+    with np.errstate(over="ignore"):  # huge finite residuals give an inf loss
+        diff = pred - labels
+        return float(np.sum(diff * diff) / labels.shape[0])
 
 
 def count_parameters(net: CompositeNetwork, components: dict[str, Component]) -> dict[str, int]:

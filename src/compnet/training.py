@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import Activation
 from .model import (
     Activate,
     Combine,
@@ -23,9 +22,9 @@ from .model import (
     EvaluationError,
     _children_of,
     _checked_values,
-    _residual_loss,
     evaluate,
     node_values,
+    residual_loss,
 )
 
 
@@ -88,11 +87,9 @@ class ParamLayout:
     nodes the parameters move.  Everything here is worked out once, by
     ``parameter_layout``; ``gradients`` only reads it."""
 
-    combines: list[tuple[str, int, int]]  # (combine id, start, stop) in the flat vector
-    blocks: list[tuple[str, int, int, int]]  # (component id, layer index, start, stop)
+    combines: dict[str, tuple[int, int]]  # combine id -> (start, stop) in the flat vector
+    blocks: dict[tuple[str, int], tuple[int, int]]  # (component id, layer index) -> (start, stop)
     size: int
-    combine_spans: dict[str, tuple[int, int]]  # the same spans, by combine id
-    block_spans: dict[tuple[str, int], tuple[int, int]]  # ... and by (component id, layer)
     opened: dict[str, int]  # component id -> its lowest layer with a block here
     live: tuple[str, ...]  # nodes a parameter here moves, in postorder
     frozen: frozenset[str]  # every other node
@@ -121,20 +118,19 @@ def parameter_layout(
             for li, frz in enumerate(comp.frozen):
                 if not frz:
                     block_keys.append((node.component, li))
-    combines = []
-    blocks = []
+    combines: dict[str, tuple[int, int]] = {}
+    blocks: dict[tuple[str, int], tuple[int, int]] = {}
     offset = 0
     for cid in combine_ids:
         n = net.node(cid).theta.size
-        combines.append((cid, offset, offset + n))
+        combines[cid] = (offset, offset + n)
         offset += n
     for comp_id, li in block_keys:
         n = components[comp_id].layers[li].size
-        blocks.append((comp_id, li, offset, offset + n))
+        blocks[comp_id, li] = (offset, offset + n)
         offset += n
-    combine_spans = {cid: (start, stop) for cid, start, stop in combines}
     opened: dict[str, int] = {}
-    for comp_id, li, *_ in blocks:
+    for comp_id, li in blocks:
         opened.setdefault(comp_id, li)
     # a node is live when a parameter here moves its value: an opened
     # component, a trained combine, or any node above a live one
@@ -143,7 +139,7 @@ def parameter_layout(
         if isinstance(node, ComponentRef):
             is_live = node.component in opened
         elif isinstance(node, Combine):
-            is_live = node.id in combine_spans or any(c in live for c in node.children)
+            is_live = node.id in combines or any(c in live for c in node.children)
         else:
             is_live = node.child in live
         if is_live:
@@ -151,23 +147,15 @@ def parameter_layout(
     frozen = frozenset(node.id for node in net.nodes if node.id not in live)
     read = {c for node in net.nodes if node.id in live for c in _children_of(node)}
     return ParamLayout(
-        combines,
-        blocks,
-        offset,
-        combine_spans,
-        {(cid, li): (start, stop) for cid, li, start, stop in blocks},
-        opened,
-        tuple(live),
-        frozen,
-        frozen & (read | {net.root}),
+        combines, blocks, offset, opened, tuple(live), frozen, frozen & (read | {net.root})
     )
 
 
 def get_parameters(net, components, layout: ParamLayout) -> np.ndarray:
     out = np.empty(layout.size)
-    for cid, start, stop in layout.combines:
+    for cid, (start, stop) in layout.combines.items():
         out[start:stop] = net.node(cid).theta
-    for comp_id, li, start, stop in layout.blocks:
+    for (comp_id, li), (start, stop) in layout.blocks.items():
         layer = components[comp_id].layers[li]
         out[start:stop] = np.concatenate([layer.weights.ravel(), layer.bias])
     return out
@@ -177,9 +165,9 @@ def set_parameters(net, components, layout: ParamLayout, flat: np.ndarray) -> No
     flat = np.asarray(flat, dtype=float)
     if flat.shape != (layout.size,):
         raise GradientError(f"expected flat vector of size {layout.size}")
-    for cid, start, stop in layout.combines:
+    for cid, (start, stop) in layout.combines.items():
         net.node(cid).theta[:] = flat[start:stop]
-    for comp_id, li, start, stop in layout.blocks:
+    for (comp_id, li), (start, stop) in layout.blocks.items():
         layer = components[comp_id].layers[li]
         mid = start + layer.weights.size  # weights, then bias
         layer.weights[...] = flat[start:mid].reshape(layer.weights.shape)
@@ -189,9 +177,9 @@ def set_parameters(net, components, layout: ParamLayout, flat: np.ndarray) -> No
 def _bind(net, components, layout: ParamLayout, flat: np.ndarray) -> None:
     """Make every array that ``layout`` covers a view into ``flat``, so a
     step taken on ``flat`` moves the network with no copy."""
-    for cid, start, stop in layout.combines:
+    for cid, (start, stop) in layout.combines.items():
         net.node(cid).theta = flat[start:stop]
-    for comp_id, li, start, stop in layout.blocks:
+    for (comp_id, li), (start, stop) in layout.blocks.items():
         layer = components[comp_id].layers[li]
         mid = start + layer.weights.size  # weights, then bias
         layer.weights = flat[start:mid].reshape(layer.weights.shape)
@@ -214,8 +202,7 @@ def gradients(
     the layout moves (see ``node_values``); the backward pass stops at
     them, so only those that computed nodes read, and the root, need the
     batch's rows.  Only the layout's live nodes carry adjoints, as no
-    parameter sits below a frozen node, and when ``known`` names every
-    node of ``layout.read`` only the live nodes are computed.
+    parameter sits below a frozen node.
     """
     if layout is None:
         layout = parameter_layout(net, components)
@@ -227,32 +214,29 @@ def gradients(
     if batch == 0:
         raise GradientError("empty batch")
 
-    live = [net.node(nid) for nid in layout.live]
-    known = known or {}
     traces: dict[str, list] = {}
-    nodes = live if layout.read <= known.keys() else None
-    values = node_values(net, components, inputs, traces, known, nodes)
+    values = node_values(net, components, inputs, traces, known)
     pred = values[net.root]
     if pred.shape != labels.shape:
         raise GradientError(f"prediction shape {pred.shape} != label shape {labels.shape}")
 
     flat = np.zeros(layout.size)
     adjoint: dict[str, np.ndarray] = {net.root: 2.0 * (pred - labels) / batch}
-    written: set[str] = set()  # opened components whose blocks hold a term
 
-    for node in reversed(live):
+    for nid in reversed(layout.live):
+        node = net.node(nid)
         a = adjoint.get(node.id)
-        if a is None or node.id in known:
+        if a is None:
             continue
         if isinstance(node, Combine):
-            span = layout.combine_spans.get(node.id)
+            span = layout.combines.get(node.id)
             if span is not None:
                 g = flat[span[0] : span[1]]
                 g[0] += a.sum()
                 for j, child in enumerate(node.children):
                     g[j + 1] += float((a * values[child]).sum())
             for w, child in zip(node.theta[1:], node.children):
-                if child in layout.frozen or child in known:
+                if child in layout.frozen:
                     continue
                 ca = w * a
                 cw = values[child].shape[1]
@@ -260,56 +244,32 @@ def gradients(
                     ca = ca.sum(axis=1, keepdims=True)
                 _accumulate(adjoint, child, ca)
         elif isinstance(node, Activate):
-            da = _through(node.activation, a, values[node.child], values[node.id])
+            da = node.activation.backprop(a, values[node.child], values[node.id])
             _accumulate(adjoint, node.child, da)
         else:  # an opened ComponentRef
             layers = components[node.component].layers
             trace = traces[node.id]
             d, out = a, values[node.id]
             lowest = layout.opened[node.component]  # nothing below it trains
-            first = node.component not in written  # its spans still hold zeros
-            written.add(node.component)
             for li in range(len(layers) - 1, lowest - 1, -1):
                 layer = layers[li]
                 xin, pre = trace[li]
-                dpre = _through(layer.activation, d, pre, out)
-                span = layout.block_spans.get((node.component, li))
+                dpre = layer.activation.backprop(d, pre, out)
+                span = layout.blocks.get((node.component, li))
                 if span is not None:
                     start, stop = span
                     mid = start + layer.weights.size
-                    w_grad = flat[start:mid].reshape(layer.weights.shape)
-                    if first:
-                        np.matmul(xin.T, dpre, out=w_grad)
-                        np.add.reduce(dpre, 0, out=flat[mid:stop])
-                    else:
-                        w_grad += xin.T @ dpre
-                        flat[mid:stop] += dpre.sum(axis=0)
+                    flat[start:mid] += (xin.T @ dpre).ravel()
+                    flat[mid:stop] += dpre.sum(axis=0)
                 if li > lowest:
                     d, out = dpre @ layer.weights.T, xin
 
-    # blocks written above without a sum into zeros: adding 0.0 turns a
-    # -0.0 into +0.0, so every entry is the bits a sum into zeros gives
-    flat += 0.0
-    if not np.isfinite(flat).all():
-        spans = [(f"combine {cid}.theta", i, j) for cid, i, j in layout.combines]
-        spans += [(f"component {cid} layer {li}", i, j) for cid, li, i, j in layout.blocks]
+    if not np.all(np.isfinite(flat)):
+        spans = [(f"combine {cid}.theta", *span) for cid, span in layout.combines.items()]
+        spans += [(f"component {c} layer {li}", *span) for (c, li), span in layout.blocks.items()]
         bad = [name for name, i, j in spans if not np.all(np.isfinite(flat[i:j]))]
         raise NonFiniteGradientError(f"non-finite gradient entries at: {', '.join(bad)}")
     return flat
-
-
-def _through(activation: Activation, d: np.ndarray, z: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """``d * activation.derivative(z)``, where ``h = activation.value(z)``.
-    The linear derivative is ones, and the tanh and logistic derivatives
-    are functions of ``h``, so those take the same bits from fewer
-    operations."""
-    if activation.tag == "linear":
-        return d
-    if activation.tag == "tanh":
-        return d * (1.0 - h * h)
-    if activation.tag == "logistic":
-        return d * (h * (1.0 - h))
-    return d * activation.derivative(z)
 
 
 def _accumulate(adjoint: dict, key: str, value: np.ndarray) -> None:
@@ -355,12 +315,10 @@ def history_row(
 ) -> EpochStats:
     """One history row: ``evaluate``'s losses of the network on both splits
     (nan for an empty test split).  A network that ``evaluate`` rejects,
-    or a train loss that is not finite, is a ``TrainingError``.  Call it
-    under ``np.errstate(over="ignore")``: a loss too large to square is
-    inf, and that is the divergence reported here."""
+    or a train loss that is not finite, is a ``TrainingError``."""
     try:
         train_loss, test_loss = (
-            _residual_loss(evaluate(net, components, split.inputs, split.known), split.labels)
+            residual_loss(evaluate(net, components, split.inputs, split.known), split.labels)
             if split
             else float("nan")
             for split in (train_split, test_split)
@@ -434,7 +392,8 @@ def train(
             read = {nid: train_split.known[nid][perm] for nid in layout.read}
             for start in range(0, n_train, cfg.batch_size):
                 rows = slice(start, start + cfg.batch_size)
-                known = {nid: values[rows] for nid, values in read.items()}
+                # the other frozen nodes keep the split's rows: nothing reads them
+                known = {**train_split.known, **{nid: v[rows] for nid, v in read.items()}}
                 try:
                     grad = gradients(
                         net, components, inputs[rows], labels[rows], layout=layout, known=known

@@ -92,7 +92,7 @@ class TestGradients:
         layout = cn.parameter_layout(net, reg)
         # all components are pre-trained: only the combine weights remain
         assert layout.size == len(comps) + 1
-        assert layout.blocks == []
+        assert layout.blocks == {}
 
     def test_gradient_norm_small_at_closed_form(self, small_task):
         data, comps = small_task
@@ -557,7 +557,7 @@ class TestCompiledStep:
         monkeypatch.setattr("compnet.construct.train", _reference_result)
         assert cn.exhaustive(comps, data, cfg, schedule=schedule).to_dict() == expected
 
-    def test_known_that_misses_a_read_node_computes_the_rest(self, small_task):
+    def test_known_frozen_values_leave_the_gradient_unchanged(self, small_task):
         data, comps = small_task
         net, reg, trainable = _oracle_case("cached-and-open-merge", comps)
         layout = cn.parameter_layout(net, reg, trainable)
@@ -565,7 +565,8 @@ class TestCompiledStep:
         values = cn.node_values(net, reg, x)
         expected = cn.gradients(net, reg, x, y, layout=layout)
         assert layout.read
-        for known in ({}, {nid: values[nid] for nid in layout.read}):
+        for nodes in ((), layout.read, layout.frozen):
+            known = {nid: values[nid] for nid in nodes}
             got = cn.gradients(net, reg, x, y, layout=layout, known=known)
             np.testing.assert_array_equal(got, expected)
 
