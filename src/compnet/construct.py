@@ -52,6 +52,7 @@ from .model import (
     evaluate,
     loss_l2,
     registry,
+    residual_loss,
     single_component_network,
 )
 from .linear import SingularGramError, build_gram, solve_theta_star
@@ -59,7 +60,9 @@ from .training import (
     EpochStats,
     Split,
     TrainConfig,
+    TrainResult,
     TrainingError,
+    data_splits,
     history_row,
     parameter_layout,
     train,
@@ -193,15 +196,18 @@ class _State:
     comps: dict[str, Component]
     train_loss: float
     test_loss: float
+    outputs: list[np.ndarray | None] | None  # the root's, per split, until its merge has run
 
     def metric(self, selection_metric: str) -> float:
         return self.train_loss if selection_metric == "train_loss" else self.test_loss
 
 
 def _component_state(comp: Component, data: Dataset) -> _State:
-    tr = component_loss(comp, data, "train")
-    te = component_loss(comp, data, "test") if data.test_idx.size else float("nan")
-    return _State(single_component_network(comp.id), {comp.id: comp}, tr, te)
+    net, comps = single_component_network(comp.id), {comp.id: comp}
+    splits = data_splits(data, [{}, {}])
+    outputs = [evaluate(net, comps, s.inputs) if s else None for s in splits]
+    tr, te = (residual_loss(o, s.labels) if s else float("nan") for o, s in zip(outputs, splits))
+    return _State(net, comps, tr, te, outputs)
 
 
 def _derive_seed(base: int, key: str) -> int:
@@ -229,19 +235,9 @@ def _theta_star(split: Split) -> np.ndarray:
 
 
 def _operand_splits(left: _State, right: _State, data: Dataset) -> list[Split | None]:
-    """The train and test splits (None when empty), each knowing both
-    operand outputs on its rows.  An opened copy of an operand has the
-    same weights, so every candidate of a merge reads these."""
-    return [
-        Split(
-            data.inputs[idx],
-            data.labels[idx],
-            {op.net.root: evaluate(op.net, op.comps, data.inputs[idx]) for op in (left, right)},
-        )
-        if idx.size
-        else None
-        for idx in (data.train_idx, data.test_idx)
-    ]
+    """The ``data_splits`` knowing both operand outputs.  An opened copy of
+    an operand has the same weights, so every candidate of a merge starts from these."""
+    return data_splits(data, [{op.net.root: op.outputs[i] for op in (left, right)} for i in (0, 1)])
 
 
 def _fit(
@@ -262,8 +258,9 @@ def _fit(
     ``_closed_form`` candidate is that start; any other trains its mixing
     weights plus the blocks of the ``opened`` components from it.
     ``splits`` are the merge's ``_operand_splits``, shared by its
-    candidates.  Returns the state, the candidate record and the error
-    (the state is None when the candidate failed)."""
+    candidates.  Returns the state (None when the candidate failed), with
+    its root's outputs from its best row, the candidate record and the
+    error."""
     note = ""
     try:
         theta = _theta_star(splits[0])
@@ -281,17 +278,18 @@ def _fit(
     total = count_parameters(net, comps)["total"]
     try:
         if _closed_form(activation, opened):
-            history, best = [history_row(net, comps, 0, *splits)], 0
+            row, values = history_row(net, comps, 0, splits)
+            result = TrainResult(net, comps, [row], 0, [v[net.root] if v else None for v in values])
         else:
             tcfg = replace(cfg.train_cfg, seed=_derive_seed(cfg.train_cfg.seed, seed_key))
-            result = train(net, comps, data, tcfg, trainable_nodes=trainable)
-            net, comps, history, best = result.net, result.components, result.history, result.best
+            result = train(net, comps, data, tcfg, trainable_nodes=trainable, splits=splits)
     except TrainingError as exc:
         record = CandidateRecord(description, math.inf, math.inf, size, total, note=note)
         return None, record, str(exc)
-    row = history[best]
+    history, row = result.history, result.history[result.best]
     record = CandidateRecord(description, row.train_loss, row.test_loss, size, total, history, note)
-    return _State(net, comps, row.train_loss, row.test_loss), record, None
+    state = _State(result.net, result.components, row.train_loss, row.test_loss, result.outputs)
+    return state, record, None
 
 
 def _select(
@@ -463,6 +461,7 @@ def _execute(
                     )
                 )
         m.state, record, step_notes = _select(m.label, outcomes, cfg)
+        m.left.state.outputs = m.right.state.outputs = None  # nothing reads them after the merge
         steps.append(record)
         notes.extend(step_notes)
         notes.extend(m.notes)

@@ -261,11 +261,8 @@ class CompositeNetwork:
 
     def component_ids(self) -> list[str]:
         """Referenced component ids, in first-reference order, deduplicated."""
-        out: list[str] = []
-        for n in self.nodes:
-            if isinstance(n, ComponentRef) and n.component not in out:
-                out.append(n.component)
-        return out
+        refs = (n.component for n in self.nodes if isinstance(n, ComponentRef))
+        return list(dict.fromkeys(refs))
 
     def ref_nodes(self) -> list[ComponentRef]:
         return [n for n in self.nodes if isinstance(n, ComponentRef)]
@@ -351,12 +348,13 @@ def node_values(
     traces: dict[str, list] | None = None,
     known: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Value of every node on every input row, children before parents.
-
-    ``traces`` (optional, output) maps each component-reference node id
-    to its per-layer trace (see ``Component.forward``).  ``known``
-    (optional) gives precomputed values for some nodes; those nodes are
-    not computed, and their values are returned as given.
+    """Value of every node the root needs on every input row, children
+    before parents: the walk down from the root stops at the nodes that
+    ``known`` (optional) names, whose given values are returned as they
+    are, so nothing below them and nothing the root does not reach is
+    computed.  ``traces`` (optional, output) maps each computed
+    component-reference node id to its per-layer trace (see
+    ``Component.forward``).
 
     A numpy ``FloatingPointError`` (raised when the caller runs this under
     ``np.errstate(..., "raise")``) becomes an ``EvaluationError`` naming the
@@ -364,8 +362,14 @@ def node_values(
     """
     inputs = np.asarray(inputs, dtype=float)
     known = known or {}
+    needed, order = {net.root}, []
+    for node in reversed(net.nodes):
+        if node.id in needed:
+            order.append(node)
+            if node.id not in known and not isinstance(node, ComponentRef):
+                needed.update(node.children if isinstance(node, Combine) else (node.child,))
     values: dict[str, np.ndarray] = {}
-    for node in net.nodes:
+    for node in reversed(order):
         if node.id in known:
             values[node.id] = known[node.id]
             continue
@@ -396,33 +400,30 @@ def evaluate(
     net: CompositeNetwork,
     components: dict[str, Component],
     inputs: np.ndarray,
-    known: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Evaluate the root node on every input row.
 
-    Every node is checked, not just the root, so a non-finite value that a
-    saturating activation hides is still reported at the node that made it.
-    numpy overflow and invalid operations end in that error too, not in a
-    printed warning.  The nodes that ``known`` names are the exception:
-    their given values are neither computed (see ``node_values``) nor
-    checked.
+    Every node the root reaches is computed and checked, not just the
+    root, so a non-finite value that a saturating activation hides is
+    still reported at the node that made it.  numpy overflow and invalid
+    operations end in that error too, not in a printed warning.  Only
+    computed nodes are checked (see ``node_values``).
     """
-    return _checked_values(net, components, inputs, known)[net.root]
+    return _checked_values(net, components, inputs, {})[net.root]
 
 
 def _checked_values(
     net: CompositeNetwork,
     components: dict[str, Component],
     inputs: np.ndarray,
-    known: dict[str, np.ndarray] | None = None,
+    known: dict[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
-    """``node_values`` with ``evaluate``'s checks."""
-    known = known or {}
+    """``node_values`` with ``evaluate``'s checks on the nodes it computed."""
     with np.errstate(over="raise", invalid="raise"):
         values = node_values(net, components, inputs, known=known)
-    for node in net.nodes:
-        if node.id not in known and not np.all(np.isfinite(values[node.id])):
-            raise EvaluationError("non-finite value produced", node.id)
+    for nid, v in values.items():
+        if nid not in known and not np.all(np.isfinite(v)):
+            raise EvaluationError("non-finite value produced", nid)
     return values
 
 

@@ -8,7 +8,7 @@ train just the newly added step of a growing network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .model import (
     EvaluationError,
     _children_of,
     _checked_values,
-    evaluate,
     node_values,
     residual_loss,
 )
@@ -76,6 +75,7 @@ class TrainResult:
     components: dict[str, Component]
     history: list[EpochStats]
     best: int  # the history row whose parameters ``net`` and ``components`` carry
+    outputs: list[np.ndarray | None]  # the root's output at row ``best``, per split
 
 
 # -- parameter layout ------------------------------------------------------
@@ -198,11 +198,11 @@ def gradients(
 
     The flat order matches ``parameter_layout``: combine thetas in
     postorder, then unfrozen component blocks in first-reference order.
-    ``known`` (optional) gives the values of nodes that no parameter in
-    the layout moves (see ``node_values``); the backward pass stops at
-    them, so only those that computed nodes read, and the root, need the
-    batch's rows.  Only the layout's live nodes carry adjoints, as no
-    parameter sits below a frozen node.
+    ``known`` (optional) gives the batch's values of nodes that no
+    parameter in the layout moves; as in ``node_values``, nothing below
+    them is computed, and the backward pass stops at them.  Only the
+    layout's live nodes carry adjoints, as no parameter sits below a
+    frozen node.
     """
     if layout is None:
         layout = parameter_layout(net, components)
@@ -284,50 +284,46 @@ def _accumulate(adjoint: dict, key: str, value: np.ndarray) -> None:
 
 @dataclass
 class Split:
-    """One dataset split: its rows and the values of the nodes that are
-    not recomputed on it.  Inside one ``train`` call these are the frozen
-    nodes, which depend on no trained parameter, so they are computed and
-    checked once."""
+    """One dataset split: its rows, and given values of some nodes, which
+    ``node_values`` does not recompute.  Inside ``train`` these are the
+    frozen nodes that live nodes read, computed and checked once."""
 
     inputs: np.ndarray
     labels: np.ndarray
     known: dict[str, np.ndarray]
 
+    def only(self, values: dict[str, np.ndarray], nodes) -> Split:
+        """This split, knowing the ``values`` of those ``nodes`` they hold."""
+        return replace(self, known={k: values[k] for k in nodes if k in values})
 
-def _cache_split(net, components, frozen, inputs, labels) -> Split:
-    # frozen nodes have only frozen children, so they make a network of
-    # their own, which is checked as ``evaluate`` checks every node
-    nodes = [node for node in net.nodes if node.id in frozen]
-    try:
-        sub = CompositeNetwork(nodes, nodes[-1].id) if nodes else None
-        known = _checked_values(sub, components, inputs) if sub else {}
-    except EvaluationError as exc:
-        raise TrainingError(f"diverged at epoch 0: {exc}") from exc
-    return Split(inputs, labels, known)
+
+def data_splits(data: Dataset, known: list[dict[str, np.ndarray]]) -> list[Split | None]:
+    """The train and test splits of ``data`` (None when empty), knowing ``known``."""
+    pairs = zip((data.train_idx, data.test_idx), known)
+    return [Split(data.inputs[i], data.labels[i], k) if i.size else None for i, k in pairs]
 
 
 def history_row(
     net: CompositeNetwork,
     components: dict[str, Component],
     epoch: int,
-    train_split: Split,
-    test_split: Split | None,
-) -> EpochStats:
-    """One history row: ``evaluate``'s losses of the network on both splits
-    (nan for an empty test split).  A network that ``evaluate`` rejects,
-    or a train loss that is not finite, is a ``TrainingError``."""
+    splits: list[Split | None],
+) -> tuple[EpochStats, list[dict[str, np.ndarray] | None]]:
+    """One history row: ``evaluate``'s losses on the train and test splits
+    (nan for an empty test split), given each split's ``known``, and the
+    node values behind them (None for an empty split).  A network that
+    ``evaluate`` rejects, or a train loss that is not finite, is a
+    ``TrainingError``."""
     try:
-        train_loss, test_loss = (
-            residual_loss(evaluate(net, components, split.inputs, split.known), split.labels)
-            if split
-            else float("nan")
-            for split in (train_split, test_split)
-        )
+        values = [s and _checked_values(net, components, s.inputs, s.known) for s in splits]
     except EvaluationError as exc:
         raise TrainingError(f"diverged at epoch {epoch}: {exc}") from exc
+    train_loss, test_loss = (
+        residual_loss(v[net.root], s.labels) if s else float("nan") for v, s in zip(values, splits)
+    )
     if not np.isfinite(train_loss):
         raise TrainingError(f"diverged at epoch {epoch}: loss is not finite")
-    return EpochStats(epoch, train_loss, test_loss)
+    return EpochStats(epoch, train_loss, test_loss), values
 
 
 def train(
@@ -336,6 +332,7 @@ def train(
     data: Dataset,
     cfg: TrainConfig,
     trainable_nodes: set[str] | None = None,
+    splits: list[Split | None] | None = None,
 ) -> TrainResult:
     """SGD on the training split; returns a trained copy.
 
@@ -346,11 +343,14 @@ def train(
     train loss above its start.  Frozen blocks of the input are never
     modified (the returned copy carries bit-identical frozen weights).
 
-    Frozen subtrees are evaluated and checked as ``evaluate`` checks them
-    once per split, so a frozen node that ``evaluate`` rejects ends
-    training before the first batch; every batch and every row's loss
-    recomputes only the nodes above them.  Row losses are ``evaluate``'s.
-    Divergence is reported as a ``TrainingError``, so numpy overflow
+    ``splits`` (optional) are ``data_splits`` knowing some nodes' start
+    values, such as a merge's operand outputs; the result is bit-identical
+    without them.  Only those of frozen nodes that live nodes read are
+    kept, as training moves the others.  Row 0 computes the rest as
+    ``evaluate`` does, so a frozen node it rejects ends training before
+    the first batch; the read nodes keep their row-0 values, so batches
+    and later rows compute only the live nodes.  Row losses are
+    ``evaluate``'s.  Divergence is a ``TrainingError``, so numpy overflow
     warnings are silenced here.
 
     Every trained array of the copy is a view into one flat parameter
@@ -369,6 +369,7 @@ def train(
         raise TrainingError("training split is empty")
     if cfg.batch_size > n_train:
         raise TrainingError(f"batch_size {cfg.batch_size} exceeds {n_train} training rows")
+    splits = splits or data_splits(data, [{}, {}])
 
     rng = np.random.default_rng(cfg.seed)
     velocity = np.zeros(layout.size)
@@ -376,24 +377,21 @@ def train(
     _bind(net, components, layout, params)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        train_split, test_split = (
-            _cache_split(net, components, layout.frozen, data.inputs[idx], data.labels[idx])
-            if idx.size
-            else None
-            for idx in (data.train_idx, data.test_idx)
-        )
-        history = [history_row(net, components, 0, train_split, test_split)]
-        best, best_params, stale = 0, params.copy(), 0
+        splits = [s and s.only(s.known, layout.read) for s in splits]
+        row, values = history_row(net, components, 0, splits)
+        # a read node the root does not reach was not computed, and no batch computes it
+        splits = [s and s.only(v, layout.read) for s, v in zip(splits, values)]
+        history, best, best_params, stale = [row], 0, params.copy(), 0
+        outputs = [v[net.root] if v else None for v in values]
         for epoch in range(1, cfg.max_epochs + 1):
             lr = cfg.lr_at(epoch - 1)
             # the epoch's rows in batch order; each batch is a slice of them
             perm = rng.permutation(n_train)
-            inputs, labels = train_split.inputs[perm], train_split.labels[perm]
-            read = {nid: train_split.known[nid][perm] for nid in layout.read}
+            inputs, labels = splits[0].inputs[perm], splits[0].labels[perm]
+            read = {nid: v[perm] for nid, v in splits[0].known.items()}
             for start in range(0, n_train, cfg.batch_size):
                 rows = slice(start, start + cfg.batch_size)
-                # the other frozen nodes keep the split's rows: nothing reads them
-                known = {**train_split.known, **{nid: v[rows] for nid, v in read.items()}}
+                known = {nid: v[rows] for nid, v in read.items()}
                 try:
                     grad = gradients(
                         net, components, inputs[rows], labels[rows], layout=layout, known=known
@@ -404,16 +402,18 @@ def train(
                 velocity *= MOMENTUM
                 velocity -= lr * grad
                 params += velocity
-            history.append(history_row(net, components, epoch, train_split, test_split))
-            if history[-1].train_loss < history[best].train_loss - 1e-12:
+            row, values = history_row(net, components, epoch, splits)
+            history.append(row)
+            if row.train_loss < history[best].train_loss - 1e-12:
                 best, best_params, stale = epoch, params.copy(), 0
+                outputs = [v[net.root] if v else None for v in values]
             else:
                 stale += 1
                 if cfg.early_stop_patience > 0 and stale >= cfg.early_stop_patience:
                     break
 
     params[:] = best_params
-    return TrainResult(net=net, components=components, history=history, best=best)
+    return TrainResult(net, components, history, best, outputs)
 
 
 def history_csv(history: list[EpochStats]) -> str:

@@ -395,6 +395,50 @@ class TestDeepPool:
         with pytest.raises(Fitted):
             build(pool, data, _fast_cfg(activations=(cn.LINEAR,)))
 
+    def test_each_leaf_runs_once_per_split_and_given_splits_change_no_bit(self, monkeypatch):
+        """A deep dbcn run to the end, with a trained activation at every
+        merge: each operand output is carried by the state that computed
+        it, so ``Component.forward`` runs once per leaf and split, and the
+        merge's splits that ``train`` is given change no bit of what it
+        returns.  N = 300 keeps A4, N > ((K + 1)/2)^2, for K = 30."""
+        k = 30
+        spec = cn.SyntheticTaskSpec(
+            n=300, d=5, noise_sd=0.02, component_quality=tuple(np.linspace(0.1, 0.6, k)), seed=7
+        )
+        data, pool = cn.generate_synthetic(spec)
+        forward, calls = cn.Component.forward, []
+
+        def counting_forward(self, x, trace=None):
+            calls.append(self.id)
+            return forward(self, x, trace)
+
+        train, compared = construct.train, []
+
+        def checked_train(*args, splits, **kwargs):
+            result = train(*args, splits=splits, **kwargs)
+            before = len(calls)
+            plain = train(*args, **kwargs)
+            del calls[before:]  # only the run that construction makes is counted
+            assert plain.history == result.history and plain.best == result.best
+            layout = cn.parameter_layout(result.net, result.components, kwargs["trainable_nodes"])
+            np.testing.assert_array_equal(
+                cn.get_parameters(plain.net, plain.components, layout),
+                cn.get_parameters(result.net, result.components, layout),
+            )
+            for a, b in zip(plain.outputs, result.outputs):
+                np.testing.assert_array_equal(a, b)
+            compared.append(len(result.history))
+            return result
+
+        monkeypatch.setattr(cn.Component, "forward", counting_forward)
+        monkeypatch.setattr(construct, "train", checked_train)
+        tcfg = cn.TrainConfig(max_epochs=8, early_stop_patience=3, seed=5)
+        cfg = cn.ConstructionConfig(activations=(cn.LINEAR, cn.TANH), train_cfg=tcfg)
+        report = cn.dbcn(pool, data, cfg)
+        assert len(report.steps) == k - 1
+        assert len(compared) == k - 1 and max(compared) > 1  # one trained tanh per merge
+        assert len(calls) == 2 * k
+
 
 def _schedule(count, k0):
     """The plan's merge tree over ``count`` leaves as nested leaf-index

@@ -106,6 +106,47 @@ class TestEvaluate:
         with pytest.raises(cn.EvaluationError, match="ghost"):
             cn.evaluate(net, trio, rng.normal(size=(2, 4)))
 
+    def test_nothing_below_a_known_node_or_off_the_root_is_computed(
+        self, trio, rng, monkeypatch
+    ):
+        """The nodes computed are those the root needs: the walk down from
+        the root stops at known nodes.  Both "ghost" references name a
+        component the registry lacks, so computing either would fail."""
+        forward, calls = cn.Component.forward, []
+
+        def counting_forward(self, x, trace=None):
+            calls.append(self.id)
+            return forward(self, x, trace)
+
+        monkeypatch.setattr(cn.Component, "forward", counting_forward)
+        x = rng.normal(size=(3, 4))
+        f2 = forward(trio["f2"], x)
+        net = cn.CompositeNetwork(
+            [
+                cn.ComponentRef("below", "ghost"),
+                cn.Activate("given", "below", cn.TANH),
+                cn.ComponentRef("r2", "f2"),
+                cn.Combine("top", ["given", "r2"], np.array([0.1, 0.5, 0.5])),
+            ],
+            "top",
+        )
+        given = np.full((3, 1), 2.0)
+        values = cn.node_values(net, trio, x, known={"given": given})
+        assert list(values) == ["given", "r2", "top"] and values["given"] is given
+        np.testing.assert_array_equal(values["top"], 0.1 + 0.5 * given + 0.5 * f2)
+        assert calls == ["f2"]
+        calls.clear()
+        off_root = cn.CompositeNetwork(
+            [
+                cn.ComponentRef("r2", "f2"),
+                cn.Combine("top", ["r2"], np.array([0.1, 0.5])),
+                cn.ComponentRef("off", "ghost"),
+            ],
+            "top",
+        )
+        np.testing.assert_array_equal(cn.evaluate(off_root, trio, x), 0.1 + 0.5 * f2)
+        assert calls == ["f2"]
+
     def test_nonfinite_reported_with_node_id(self):
         ident = cn.Component(
             "ident",

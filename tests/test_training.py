@@ -403,6 +403,30 @@ class TestCachedTraining:
         # one forward per component reference per split, however long training runs
         assert counts[0] == counts[1] <= 2 * len(net.ref_nodes())
 
+    def test_given_live_value_holds_only_at_the_start(self, small_task, monkeypatch):
+        """A value given for a live node is its start value: training must
+        not read it after the first step, nor stop row 0 at it, so the
+        frozen nodes under it are still computed once per split."""
+        data, comps = small_task
+        net, reg = _chain(["f1", "f2", "f3", "f1", "f2"], cn.SL, cn.SL), cn.registry(comps)
+        starts = [
+            {"mix4": cn.node_values(net, reg, data.inputs[idx])["mix4"]}
+            for idx in (data.train_idx, data.test_idx)
+        ]
+        cfg = cn.TrainConfig(max_epochs=6, early_stop_patience=0, seed=1)
+        plain = cn.train(net, reg, data, cfg, trainable_nodes={"mix4"})
+        forward, calls = cn.Component.forward, []
+
+        def counting_forward(self, x, trace=None):
+            calls.append(self.id)
+            return forward(self, x, trace)
+
+        monkeypatch.setattr(cn.Component, "forward", counting_forward)
+        splits = cn.training.data_splits(data, starts)
+        given = cn.train(net, reg, data, cfg, trainable_nodes={"mix4"}, splits=splits)
+        assert given.history == plain.history and len(given.history) == 7
+        assert len(calls) <= 2 * len(net.ref_nodes())
+
 
 def _opened_case(name, data, comps):
     """A trained combine over a frozen SL merge and an opened component
@@ -431,10 +455,12 @@ def _opened_case(name, data, comps):
     return cn.CompositeNetwork(nodes, "out"), reg, data, {"top", "ro"}
 
 
-def _reference_result(net, reg, data, cfg, trainable_nodes=None):
+def _reference_result(net, reg, data, cfg, trainable_nodes=None, splits=None):
     """``_reference_train`` as a ``TrainResult``: a copy carrying the
-    reference's parameters, and the last row that improved on the best
-    train loss by more than 1e-12 as ``best``."""
+    reference's parameters, the last row that improved on the best train
+    loss by more than 1e-12 as ``best``, and the copy's root outputs from
+    a plain ``evaluate``.  The given ``splits`` are ignored, so nothing
+    is cached."""
     history, params = _reference_train(net, reg, data, cfg, trainable_nodes)
     net, reg = net.copy(), {k: c.copy() for k, c in reg.items()}
     cn.set_parameters(net, reg, cn.parameter_layout(net, reg, trainable_nodes), params)
@@ -443,7 +469,11 @@ def _reference_result(net, reg, data, cfg, trainable_nodes=None):
         if train_loss < history[best][0] - 1e-12:
             best = i
     rows = [cn.EpochStats(i, train, test) for i, (train, test) in enumerate(history)]
-    return cn.TrainResult(net, reg, rows, best)
+    outputs = [
+        cn.evaluate(net, reg, data.inputs[idx]) if idx.size else None
+        for idx in (data.train_idx, data.test_idx)
+    ]
+    return cn.TrainResult(net, reg, rows, best, outputs)
 
 
 def _textbook_gradient(comp, theta, act, x, y):
