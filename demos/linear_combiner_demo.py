@@ -50,8 +50,8 @@ def main():
         refs + [cn.Combine("mix", [r.id for r in refs], theta)], "mix"
     )
     print(f"as a network: train RMSE {np.sqrt(cn.loss_l2(net, cn.registry(comps), data)):.4f}")
-    counts = cn.count_parameters(net, cn.registry(comps))
-    print(f"parameters: {counts['trainable']} trainable / {counts['total']} total")
+    layout = cn.parameter_layout(net, cn.registry(comps))
+    print(f"parameters: {layout.size} trainable / {layout.total} total")
 
 
 if __name__ == "__main__":

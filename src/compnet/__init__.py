@@ -78,7 +78,6 @@ from .model import (
     ModelError,
     ROLE_AUX,
     ROLE_BASE,
-    count_parameters,
     evaluate,
     loss_l2,
     node_values,

@@ -48,7 +48,6 @@ from .model import (
     Dataset,
     KIND_PRETRAINED,
     ROLE_BASE,
-    count_parameters,
     evaluate,
     loss_l2,
     registry,
@@ -86,6 +85,8 @@ class ConstructionConfig:
     def __post_init__(self):
         if not self.activations:
             raise ConstructionError("need at least one activation")
+        if math.isnan(self.delta):
+            raise ConstructionError("delta must not be nan (±inf is allowed)")
         if self.selection_metric not in ("train_loss", "validation_loss"):
             raise ConstructionError(f"unknown selection metric {self.selection_metric!r}")
 
@@ -128,7 +129,7 @@ class ConstructionReport:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        counts = count_parameters(self.final, self.final_components)
+        layout = parameter_layout(self.final, self.final_components)
         return {
             "algorithm": self.algorithm,
             "order": list(self.order),
@@ -155,8 +156,8 @@ class ConstructionReport:
             "final": {
                 "train_loss": self.final_train_loss,
                 "test_loss": self.final_test_loss,
-                "trainable": counts["trainable"],
-                "total": counts["total"],
+                "trainable": layout.size,
+                "total": layout.total,
             },
             "network": self.final.to_dict(),
             "components": [c.to_dict() for c in self.final_components.values()],
@@ -274,8 +275,8 @@ def _fit(
     net = CompositeNetwork(nodes, nodes[-1].id)
     comps = {**left.comps, **right.comps}
     trainable = {mix.id} | {ref.id for ref in net.ref_nodes() if ref.component in opened}
-    size = parameter_layout(net, comps, trainable).size
-    total = count_parameters(net, comps)["total"]
+    layout = parameter_layout(net, comps, trainable)
+    size, total = layout.size, layout.total
     try:
         if _closed_form(activation, opened):
             row, values = history_row(net, comps, 0, splits)

@@ -1,4 +1,4 @@
-"""Core model: components, composite-network DAGs, evaluation, counting.
+"""Core model: components, composite-network DAGs, evaluation, the loss.
 
 A component is a small feedforward net whose parameter blocks can be
 frozen (pre-trained) or trainable (non-instantiated).  A composite
@@ -128,9 +128,6 @@ class Component:
     def parameter_count(self) -> int:
         return sum(layer.size for layer in self.layers)
 
-    def trainable_parameter_count(self) -> int:
-        return sum(layer.size for layer, frz in zip(self.layers, self.frozen) if not frz)
-
     def copy(self) -> "Component":
         return Component(
             self.id,
@@ -258,11 +255,6 @@ class CompositeNetwork:
 
     def combine_nodes(self) -> list[Combine]:
         return [n for n in self.nodes if isinstance(n, Combine)]
-
-    def component_ids(self) -> list[str]:
-        """Referenced component ids, in first-reference order, deduplicated."""
-        refs = (n.component for n in self.nodes if isinstance(n, ComponentRef))
-        return list(dict.fromkeys(refs))
 
     def ref_nodes(self) -> list[ComponentRef]:
         return [n for n in self.nodes if isinstance(n, ComponentRef)]
@@ -495,22 +487,6 @@ def residual_loss(pred: np.ndarray, labels: np.ndarray) -> float:
     with np.errstate(over="ignore"):  # huge finite residuals give an inf loss
         diff = pred - labels
         return float(np.sum(diff * diff) / labels.shape[0])
-
-
-def count_parameters(net: CompositeNetwork, components: dict[str, Component]) -> dict[str, int]:
-    """Trainable and total parameter counts; shared components count once."""
-    trainable = 0
-    total = 0
-    for node in net.combine_nodes():
-        trainable += node.theta.size
-        total += node.theta.size
-    for cid in net.component_ids():
-        comp = components.get(cid)
-        if comp is None:
-            raise EvaluationError(f"unresolved component {cid!r}")
-        trainable += comp.trainable_parameter_count()
-        total += comp.parameter_count()
-    return {"trainable": int(trainable), "total": int(total)}
 
 
 def registry(components) -> dict[str, Component]:

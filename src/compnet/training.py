@@ -53,8 +53,8 @@ class TrainConfig:
     early_stop_patience: int = 50
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
+        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
+            raise ValueError("learning_rate must be finite and non-negative")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be positive")
 
@@ -90,6 +90,7 @@ class ParamLayout:
     combines: dict[str, tuple[int, int]]  # combine id -> (start, stop) in the flat vector
     blocks: dict[tuple[str, int], tuple[int, int]]  # (component id, layer index) -> (start, stop)
     size: int
+    total: int  # every parameter the network holds, trained or not; shared components once
     opened: dict[str, int]  # component id -> its lowest layer with a block here
     live: tuple[str, ...]  # nodes a parameter here moves, in postorder
     frozen: frozenset[str]  # every other node
@@ -103,18 +104,26 @@ def parameter_layout(
 ) -> ParamLayout:
     combine_ids: list[str] = []
     block_keys: list[tuple[str, int]] = []
-    seen_components: set[str] = set()
+    counted: set[str] = set()  # components in ``total``
+    opened_components: set[str] = set()  # components with blocks in ``block_keys``
+    total = 0
     for node in net.nodes:
         if isinstance(node, Combine):
+            total += node.theta.size
             if trainable_nodes is None or node.id in trainable_nodes:
                 combine_ids.append(node.id)
         elif isinstance(node, ComponentRef):
+            comp = components.get(node.component)
+            if comp is None:
+                raise EvaluationError(f"unresolved component {node.component!r}", node.id)
+            if node.component not in counted:
+                counted.add(node.component)
+                total += comp.parameter_count()
             if trainable_nodes is not None and node.id not in trainable_nodes:
                 continue
-            if node.component in seen_components:
+            if node.component in opened_components:
                 continue
-            seen_components.add(node.component)
-            comp = components[node.component]
+            opened_components.add(node.component)
             for li, frz in enumerate(comp.frozen):
                 if not frz:
                     block_keys.append((node.component, li))
@@ -147,7 +156,7 @@ def parameter_layout(
     frozen = frozenset(node.id for node in net.nodes if node.id not in live)
     read = {c for node in net.nodes if node.id in live for c in _children_of(node)}
     return ParamLayout(
-        combines, blocks, offset, opened, tuple(live), frozen, frozen & (read | {net.root})
+        combines, blocks, offset, total, opened, tuple(live), frozen, frozen & (read | {net.root})
     )
 
 

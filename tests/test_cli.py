@@ -211,6 +211,22 @@ class TestCompose:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mode, flag, message",
+        [
+            ("exhaustive", "--lr", "learning_rate must be finite"),
+            ("dbcn", "--delta", "delta must not be nan"),
+        ],
+        ids=["lr", "delta"],
+    )
+    def test_nan_setting_is_runtime_error(self, bundle, capsys, mode, flag, message):
+        code = main(
+            ["compose", mode, "--pool", str(bundle / "components.json"),
+             "--data", str(bundle / "data.csv"), flag, "nan"]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", ["dbcn", "bbcn"])
     def test_schedule_outside_exhaustive_is_usage_error(self, bundle, capsys, mode):
         code = main(

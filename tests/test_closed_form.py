@@ -1,6 +1,7 @@
 """Closed-form merges and best-row returns, checked on what construction
 builds: theta* at frozen merges, the A1 fallback, the SL Taylor bound,
-monotone chains, and ``train`` never ending above its start."""
+monotone chains, chains never below Theorem 1's width theta*, and
+``train`` never ending above its start."""
 
 import functools
 import itertools
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import compnet as cn
 from compnet.construct import _component_state, _fit, _operand_splits
 
-from conftest import linear_mix_network
+from conftest import linear_mix_network, train_columns
 
 RTOL = 1e-12  # rounding slack on "never above"
 
@@ -145,6 +146,31 @@ class TestA1Fallback:
                 "(A1 fails); left operand passed through"
             )
             assert note in report.notes
+
+
+class TestWidthReference:
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(40, 300),
+        qualities=st.lists(st.floats(0.05, 0.6), min_size=2, max_size=7),
+        algorithm=st.sampled_from(["dbcn", "bbcn"]),
+        selection=st.sampled_from(["train_loss", "validation_loss"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_chain_never_below_width_theta_star(self, seed, n, qualities, algorithm, selection):
+        """A chain of frozen L merges is an affine combination of pool
+        outputs, so its train loss is never below that of theta* over all K
+        pool outputs at once (Theorem 1's width reference).  The slack
+        is float64 rounding: the lowest ratio seen is 1 - 3e-16."""
+        spec = cn.SyntheticTaskSpec(
+            n=n, d=5, noise_sd=0.02, component_quality=tuple(qualities), seed=seed
+        )
+        data, comps = cn.generate_synthetic(spec)
+        cfg = _cfg(activations=(cn.LINEAR,), selection_metric=selection)
+        report = getattr(cn, algorithm)(comps, data, cfg)
+        cols, y = train_columns(data, comps)
+        width = cn.combination_loss(cn.solve_theta_star(cn.build_gram(cols, y)), cols, y)
+        assert report.final_train_loss >= width * (1 - 1e-9)
 
 
 _TASK = cn.generate_synthetic(

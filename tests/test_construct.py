@@ -79,6 +79,11 @@ class TestDbcn:
         assert report.final_depth == 1
         assert report.pruned_from == len(comps)
 
+    def test_nan_delta_rejected(self):
+        # inf and -inf stay allowed: the test above and TestA1Fallback use them
+        with pytest.raises(cn.ConstructionError, match="delta must not be nan"):
+            cn.ConstructionConfig(delta=float("nan"))
+
     def test_front_runner_is_argmin_every_step(self, task):
         data, comps = task
         report = cn.dbcn(comps, data, _fast_cfg())
@@ -474,6 +479,8 @@ class TestReportShape:
         assert d["final"]["trainable"] >= 3
         net = cn.CompositeNetwork.from_dict(d["network"])
         reg = cn.registry(cn.Component.from_dict(c) for c in d["components"])
+        layout = cn.parameter_layout(net, reg)
+        assert (d["final"]["trainable"], d["final"]["total"]) == (layout.size, layout.total)
         # the reported losses are the returned row's, which evaluate computes
         assert cn.loss_l2(net, reg, data, "train") == report.final_train_loss
         assert cn.loss_l2(net, reg, data, "test") == report.final_test_loss

@@ -1,4 +1,5 @@
-"""Core model: evaluation, loss, parameter counting, serialization."""
+"""Core model: evaluation, loss, parameter counting (``parameter_layout``),
+serialization."""
 
 import numpy as np
 import pytest
@@ -39,7 +40,8 @@ class TestComponent:
         # d=4, hidden 3, out 1: 4*3 + 3 + 3*1 + 1 = 19
         comp = cn.Component.mlp("c", [4, 3, 1], rng)
         assert comp.parameter_count() == 19
-        assert comp.trainable_parameter_count() == 0
+        layout = cn.parameter_layout(cn.single_component_network("c"), {"c": comp})
+        assert (layout.size, layout.total) == (0, 19)
 
     def test_trace_keeps_bits_and_records_every_layer(self, trio, rng):
         comp = trio["f1"]
@@ -308,6 +310,9 @@ class TestLoss:
 
 
 class TestCountParameters:
+    """``parameter_layout`` counts: ``size`` trains, ``total`` is every
+    parameter the network holds."""
+
     def test_combine_over_two_scalar_components(self, rng):
         f1 = cn.Component.mlp("f1", [4, 3, 1], rng)
         f2 = cn.Component.mlp("f2", [4, 2, 1], rng)
@@ -320,9 +325,9 @@ class TestCountParameters:
             ],
             "c",
         )
-        counts = cn.count_parameters(net, comps)
-        assert counts["trainable"] == 3
-        assert counts["total"] == 3 + f1.parameter_count() + f2.parameter_count()
+        layout = cn.parameter_layout(net, comps)
+        assert layout.size == 3
+        assert layout.total == 3 + f1.parameter_count() + f2.parameter_count()
 
     def test_shared_component_counted_once(self, rng):
         f1 = cn.Component.mlp("f1", [4, 3, 1], rng)
@@ -335,7 +340,7 @@ class TestCountParameters:
             ],
             "c",
         )
-        assert cn.count_parameters(net, comps)["total"] == 3 + f1.parameter_count()
+        assert cn.parameter_layout(net, comps).total == 3 + f1.parameter_count()
 
     def test_deep_chain_small_trainable_vs_large_total(self, rng):
         """Chain of depth 5 over wide components: combine weights stay a
@@ -353,19 +358,42 @@ class TestCountParameters:
                 nodes.append(mix)
                 prev = mix.id
         net = cn.CompositeNetwork(nodes, prev)
-        counts = cn.count_parameters(net, cn.registry(comps.values()))
-        assert counts["trainable"] == 4 * 3
+        layout = cn.parameter_layout(net, cn.registry(comps.values()))
+        assert layout.size == 4 * 3
         frozen = sum(c.parameter_count() for c in comps.values())
-        assert counts["total"] == counts["trainable"] + frozen
-        assert counts["total"] > 100 * counts["trainable"]
+        assert layout.total == layout.size + frozen
+        assert layout.total > 100 * layout.size
 
     def test_purely_linear_chain_theta_count(self, rng):
         comps = [cn.Component.mlp(f"f{i}", [2, 1], rng) for i in range(4)]
         refs = [cn.ComponentRef(f"r{i}", c.id) for i, c in enumerate(comps)]
         mix = cn.Combine("mix", [r.id for r in refs], np.zeros(5))
         net = cn.CompositeNetwork(refs + [mix], "mix")
-        counts = cn.count_parameters(net, cn.registry(comps))
-        assert counts["trainable"] == len(comps) + 1
+        layout = cn.parameter_layout(net, cn.registry(comps))
+        assert layout.size == len(comps) + 1
+
+
+    def test_total_counts_every_parameter_whatever_trains(self, trio):
+        """Opened blocks train unless ``trainable_nodes`` leaves their
+        reference out; ``total`` does not depend on what trains."""
+        net = cn.CompositeNetwork(
+            [
+                cn.ComponentRef("a", "f1"),
+                cn.ComponentRef("w", "fw"),
+                cn.Combine("c", ["a", "w"], np.zeros(3)),
+            ],
+            "c",
+        )
+        total = 3 + trio["f1"].parameter_count() + trio["fw"].parameter_count()
+        full = cn.parameter_layout(net, trio)
+        assert (full.size, full.total) == (3 + trio["fw"].parameter_count(), total)
+        mix_only = cn.parameter_layout(net, trio, {"c"})
+        assert (mix_only.size, mix_only.total) == (3, total)
+
+    def test_unresolved_component_names_ref_and_component(self):
+        net = cn.single_component_network("f1")
+        with pytest.raises(cn.EvaluationError, match="node 'ref:f1': unresolved component 'f1'"):
+            cn.parameter_layout(net, {})
 
 
 class TestSerialization:

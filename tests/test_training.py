@@ -180,6 +180,17 @@ class TestTrain:
         with pytest.raises(cn.TrainingError, match="trainable"):
             cn.train(net, cn.registry(comps), data, cn.TrainConfig())
 
+    def test_unresolved_component_named(self, small_task):
+        data, comps = small_task
+        net = cn.single_component_network("f1")
+        with pytest.raises(cn.EvaluationError, match="node 'ref:f1': unresolved component 'f1'"):
+            cn.train(net, {}, data, cn.TrainConfig())
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, -1e-3])
+    def test_learning_rate_must_be_finite_and_non_negative(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            cn.TrainConfig(learning_rate=lr)
+
     def test_trainable_nodes_filter(self, small_task):
         data, comps = small_task
         reg = cn.registry(comps)
