@@ -100,16 +100,9 @@ class Activation:
         Needed when the scaled combiner drives the activation with tiny
         offsets around 0.
         """
-        delta = np.asarray(delta, dtype=float)
-        if self.tag == "linear":
-            return delta
         if self.tag == "logistic":
-            return 0.5 * np.tanh(0.5 * delta)
-        if self.tag == "tanh":
-            return np.tanh(delta)
-        if self.tag == "scaled-logistic":
-            return self.out_range * np.tanh(delta / (2.0 * self.scale))
-        return np.maximum(delta, 0.0)
+            return 0.5 * np.tanh(0.5 * np.asarray(delta, dtype=float))
+        return self.value(delta)  # value(0) = 0 for every other tag
 
     # Derivatives of the inverse map tau around value(0).
 

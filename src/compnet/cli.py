@@ -343,7 +343,7 @@ def _cmd_compose(args):
     cfg = ConstructionConfig(
         activations=activations,
         delta=args.delta,
-        k0=args.k0,
+        k0=1 if args.schedule == "chain" else args.k0,  # the chain is the k0 = 1 tree
         train_cfg=TrainConfig(
             learning_rate=args.lr,
             batch_size=args.batch,
@@ -353,14 +353,9 @@ def _cmd_compose(args):
         ),
         selection_metric=selection,
     )
-    if args.mode == "dbcn":
-        report = dbcn(comps, dataset, cfg, allow_large=args.allow_large)
-    elif args.mode == "bbcn":
-        report = bbcn(comps, dataset, cfg, allow_large=args.allow_large)
-    else:
-        report = exhaustive(
-            comps, dataset, cfg, schedule=args.schedule, allow_large=args.allow_large
-        )
+    report = {"dbcn": dbcn, "bbcn": bbcn, "exhaustive": exhaustive}[args.mode](
+        comps, dataset, cfg, allow_large=args.allow_large
+    )
     if args.history:
         out = Path(args.history)
         out.mkdir(parents=True, exist_ok=True)

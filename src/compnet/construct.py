@@ -85,6 +85,12 @@ class ConstructionConfig:
     def __post_init__(self):
         if not self.activations:
             raise ConstructionError("need at least one activation")
+        labels = [a.label for a in self.activations]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ConstructionError(
+                    f"activations: label {label!r} is repeated; candidates are named by it"
+                )
         if math.isnan(self.delta):
             raise ConstructionError("delta must not be nan (±inf is allowed)")
         if self.selection_metric not in ("train_loss", "validation_loss"):
@@ -283,7 +289,7 @@ def _fit(
             result = TrainResult(net, comps, [row], 0, [v[net.root] if v else None for v in values])
         else:
             tcfg = replace(cfg.train_cfg, seed=_derive_seed(cfg.train_cfg.seed, seed_key))
-            result = train(net, comps, data, tcfg, trainable_nodes=trainable, splits=splits)
+            result = train(net, comps, data, tcfg, layout=layout, splits=splits)
     except TrainingError as exc:
         record = CandidateRecord(description, math.inf, math.inf, size, total, note=note)
         return None, record, str(exc)
@@ -560,6 +566,14 @@ def dbcn(
     return _pruned_chain("dbcn", pool, leaves, 1, data, cfg, allow_large)
 
 
+def _check_k0(k0: int, pool: list[Component]) -> None:
+    """The balanced stage merges the first k0 pool components: 1 <= k0 <= pool size."""
+    if k0 < 1:
+        raise ConstructionError(f"k0 = {k0} is below 1")
+    if k0 > len(pool):
+        raise ConstructionError(f"k0 = {k0} exceeds pool size {len(pool)}")
+
+
 def bbcn(
     pool,
     data: Dataset,
@@ -570,16 +584,13 @@ def bbcn(
     the greedy chain over the remainder."""
     cfg = cfg or ConstructionConfig()
     pool = _listed(pool)
-    k0 = cfg.k0
-    if k0 < 2:
-        warnings.warn("k0 < 2: balanced stage degenerates to the greedy chain")
-        k0 = 1
-    elif k0 > len(pool):
-        raise ConstructionError(f"k0 = {k0} exceeds pool size {len(pool)}")
+    _check_k0(cfg.k0, pool)
+    if cfg.k0 == 1:
+        warnings.warn("k0 = 1: balanced stage degenerates to the greedy chain")
     pool, leaves = _ordered(pool, data)
-    if any(c.role != ROLE_BASE for c in pool[:k0]):
+    if any(c.role != ROLE_BASE for c in pool[: cfg.k0]):
         raise ConstructionError("first k0 pool entries must be base components")
-    return _pruned_chain("bbcn", pool, leaves, k0, data, cfg, allow_large)
+    return _pruned_chain("bbcn", pool, leaves, cfg.k0, data, cfg, allow_large)
 
 
 # -- exhaustive search -----------------------------------------------------
@@ -589,25 +600,16 @@ def exhaustive(
     pool,
     data: Dataset,
     cfg: ConstructionConfig | None = None,
-    schedule=None,
     allow_large: bool = False,
 ) -> ConstructionReport:
     """Fit every frozen/open x activation combination at each merge of
-    the schedule and keep the per-merge winner."""
+    the tree (balanced merges of the first k0 components, then the chain
+    over the rest; k0 = 1 is the chain) and keep the per-merge winner."""
     cfg = cfg or ConstructionConfig()
     pool = _listed(pool)
-    if schedule is None or schedule == "balanced":
-        if cfg.k0 < 1:
-            raise ConstructionError(f"k0 = {cfg.k0} is below 1")
-        if cfg.k0 > len(pool):
-            raise ConstructionError(f"k0 = {cfg.k0} exceeds pool size {len(pool)}")
-        k0 = cfg.k0
-    elif schedule == "chain":
-        k0 = 1
-    else:
-        raise ConstructionError(f"unknown schedule {schedule!r}: use balanced or chain")
+    _check_k0(cfg.k0, pool)
     pool, leaves = _ordered(pool, data)
-    levels, chain = _tree(leaves, k0)
+    levels, chain = _tree(leaves, cfg.k0)
     merges = _postorder(levels[-1][0]) + chain
     for i, m in enumerate(merges):
         m.label, m.seed_prefix, m.name = f"merge {i + 1}", f"merge{i}", f"g{i + 1}"

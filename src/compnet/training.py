@@ -1,9 +1,10 @@
 """Stochastic-gradient training of composite networks.
 
 Only combine weights and unfrozen component blocks move; frozen blocks
-are never touched.  ``trainable_nodes`` narrows training further to an
-explicit set of node ids, which is how the construction algorithms
-train just the newly added step of a growing network.
+are never touched.  What trains is a ``ParamLayout``: every training
+function takes one.  ``parameter_layout(..., trainable_nodes)`` narrows
+it to an explicit set of node ids, which is how the construction
+algorithms train just the newly added step of a growing network.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be finite and non-negative")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be positive")
+        if self.early_stop_patience < 0:
+            raise ValueError("early_stop_patience must not be negative; 0 turns early stopping off")
 
     def lr_at(self, epoch: int) -> float:
         return 0.5 * self.learning_rate * (1.0 + np.cos(np.pi * epoch / self.max_epochs))
@@ -340,10 +343,14 @@ def train(
     components: dict[str, Component],
     data: Dataset,
     cfg: TrainConfig,
-    trainable_nodes: set[str] | None = None,
+    layout: ParamLayout | None = None,
     splits: list[Split | None] | None = None,
 ) -> TrainResult:
     """SGD on the training split; returns a trained copy.
+
+    ``layout`` says what trains (default: ``parameter_layout(net,
+    components)``, every unfrozen parameter).  It holds node and
+    component ids and spans only, so one built on ``net`` serves the copy.
 
     The history's row 0 is the start, and rows 1..E are the epochs run.
     The copy carries the parameters of the last row that improved on the
@@ -364,12 +371,13 @@ def train(
 
     Every trained array of the copy is a view into one flat parameter
     vector, so a step moves the network in place, and the layout (spans,
-    live nodes, the frozen nodes a batch reads) is worked out once per
-    call.
+    live nodes, the frozen nodes a batch reads) is given or worked out
+    once per call.
     """
     net = net.copy()
     components = {k: c.copy() for k, c in components.items()}
-    layout = parameter_layout(net, components, trainable_nodes)
+    if layout is None:
+        layout = parameter_layout(net, components)
     if layout.size == 0:
         raise TrainingError("network has no trainable parameters")
 

@@ -280,7 +280,8 @@ def test_criterion_7_construction_suite():
         rep_dv = cn.dbcn(comps, data, val_cfg)
         rep_bv = cn.bbcn(comps, data, val_cfg)
         rep_dt = cn.dbcn(comps, data, train_cfg)
-        rep_xt = cn.exhaustive(comps, data, train_cfg, schedule="chain")
+        chain_cfg = cn.ConstructionConfig(k0=1, train_cfg=tc, selection_metric="train_loss")
+        rep_xt = cn.exhaustive(comps, data, chain_cfg)
         rep_inf = cn.dbcn(
             comps,
             data,

@@ -199,17 +199,68 @@ class TestCompose:
         assert "--schedule" in err and "foo" in err
 
     @pytest.mark.parametrize(
-        "k0, message",
-        [("9", "k0 = 9 exceeds pool size 3"), ("0", "k0 = 0")],
-        ids=["above-pool", "zero"],
+        "mode, k0, message",
+        [
+            ("exhaustive", "9", "k0 = 9 exceeds pool size 3"),
+            ("exhaustive", "0", "k0 = 0 is below 1"),
+            ("exhaustive", "-5", "k0 = -5 is below 1"),
+            ("bbcn", "9", "k0 = 9 exceeds pool size 3"),
+            ("bbcn", "0", "k0 = 0 is below 1"),
+            ("bbcn", "-5", "k0 = -5 is below 1"),
+        ],
+        ids=["above-pool", "zero", "negative", "bbcn-above-pool", "bbcn-zero", "bbcn-negative"],
     )
-    def test_exhaustive_k0_outside_pool_is_runtime_error(self, bundle, capsys, k0, message):
+    def test_exhaustive_k0_outside_pool_is_runtime_error(self, bundle, capsys, mode, k0, message):
+        """bbcn and exhaustive share one k0 rule, 1 <= k0 <= pool size."""
         code = main(
-            ["compose", "exhaustive", "--pool", str(bundle / "components.json"),
+            ["compose", mode, "--pool", str(bundle / "components.json"),
              "--data", str(bundle / "data.csv"), "--k0", k0]
         )
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--activations", "linear,L"], "activations: label 'L' is repeated"),
+            (["--activations", "sl,scaled-logistic:100:10"], "activations: label 'SL' is repeated"),
+            (["--patience", "-3"], "0 turns early stopping off"),
+        ],
+        ids=["same-activation", "same-label", "negative-patience"],
+    )
+    def test_bad_training_setting_is_runtime_error(self, bundle, capsys, flags, message):
+        code = main(
+            ["compose", "dbcn", "--pool", str(bundle / "components.json"),
+             "--data", str(bundle / "data.csv"), *flags]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_benchmark_command_shapes(self, tmp_path, capsys):
+        """The compose commands the benchmark sends run, and --schedule
+        chain is the k0 = 1 tree: its report equals --k0 1's."""
+        out = tmp_path / "b"
+        assert main(["synth", "--seed", "4", "--n", "120", "--k", "5", "--out", str(out)]) == 0
+        reports = {}
+        for name, extra in {
+            "chain": ["exhaustive", "--schedule", "chain"],
+            "balanced": ["exhaustive", "--schedule", "balanced"],
+            "k0-1": ["exhaustive", "--k0", "1"],
+            "bbcn": ["bbcn", "--k0", "4"],
+        }.items():
+            rep = tmp_path / f"{name}.json"
+            code = main(
+                ["compose", *extra, "--pool", str(out / "components.json"),
+                 "--data", str(out / "data.csv"), "--activations", "linear,sl",
+                 "--epochs", "4", "--patience", "2", "--report", str(rep)]
+            )
+            assert code == 0, name
+            reports[name] = json.loads(rep.read_text())
+        chain, k0_one = reports["chain"], reports["k0-1"]
+        assert chain.keys() == k0_one.keys()
+        for key in chain:
+            assert chain[key] == k0_one[key], key
+        assert len(chain["steps"]) == 4
 
     @pytest.mark.parametrize(
         "mode, flag, message",

@@ -3,7 +3,6 @@ builds: theta* at frozen merges, the A1 fallback, the SL Taylor bound,
 monotone chains, chains never below Theorem 1's width theta*, and
 ``train`` never ending above its start."""
 
-import functools
 import itertools
 
 import numpy as np
@@ -50,10 +49,8 @@ class TestMonotoneChain:
             report = cn.bbcn(comps, data, cfg)
             chain = [_winner(s).train_loss for s in report.steps[cfg.k0 - 2 :]]
         else:
-            build = cn.dbcn if algorithm == "dbcn" else functools.partial(
-                cn.exhaustive, schedule="chain"
-            )
-            report = build(comps, data, cfg)
+            build = cn.dbcn if algorithm == "dbcn" else cn.exhaustive
+            report = build(comps, data, _cfg(k0=1))  # dbcn reads no k0
             first = next(c for c in comps if c.id == report.order[0])
             chain = [cn.component_loss(first, data), *(_winner(s).train_loss for s in report.steps)]
         assert len(chain) >= 2

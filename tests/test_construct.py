@@ -1,8 +1,6 @@
 """Construction algorithms: ordering, greedy chain, balanced merges,
 exhaustive search, pruning."""
 
-import functools
-
 import numpy as np
 import pytest
 
@@ -245,9 +243,9 @@ class TestExhaustive:
 
     def test_superset_of_chain_search(self, task):
         data, comps = task
-        cfg = _fast_cfg()
+        cfg = _fast_cfg(k0=1)  # dbcn reads no k0
         chain = cn.dbcn(comps, data, cfg)
-        full = cn.exhaustive(comps, data, cfg, schedule="chain")
+        full = cn.exhaustive(comps, data, cfg)
         assert full.final_train_loss <= chain.final_train_loss + 1e-9
 
     def test_first_merge_dominates_chain_step(self, task):
@@ -255,9 +253,9 @@ class TestExhaustive:
         the chain's first step (same derived seeds), so the exhaustive
         winner there can only be at least as good."""
         data, comps = task
-        cfg = _fast_cfg()
+        cfg = _fast_cfg(k0=1)  # dbcn reads no k0
         chain = cn.dbcn(comps[:3], data, cfg)
-        full = cn.exhaustive(comps[:3], data, cfg, schedule="chain")
+        full = cn.exhaustive(comps[:3], data, cfg)
         chain_step = chain.steps[0]
         full_step = full.steps[0]
         frozen = {
@@ -283,13 +281,24 @@ class TestExhaustive:
         with pytest.raises(cn.ConstructionError, match=message):
             cn.exhaustive(comps[:3], data, _fast_cfg(k0=k0))
 
-    def test_schedule_must_cover_pool(self, task):
+    def test_runs_parameter_layout_once_per_candidate(self, task, monkeypatch):
+        """A candidate's layout is built once, by ``_fit``, and ``train``
+        fits that one; the report builds one more for the final network."""
         data, comps = task
-        # a schedule is "balanced" or "chain"; a tree of pool indices, well
-        # formed or not, is an unknown schedule
-        for schedule in [(0, 1), ((0, 1), 1), ((0, 1), 3), ("a", 1), ((0, 1), 2, 0)]:
-            with pytest.raises(cn.ConstructionError, match="schedule"):
-                cn.exhaustive(comps[:3], data, _fast_cfg(), schedule=schedule)
+        layout, calls = construct.parameter_layout, []
+
+        def counting_layout(*args, **kwargs):
+            calls.append(1)
+            return layout(*args, **kwargs)
+
+        monkeypatch.setattr(construct, "parameter_layout", counting_layout)
+        monkeypatch.setattr(cn.training, "parameter_layout", counting_layout)
+        report = cn.exhaustive(comps[:3], data, _fast_cfg(k0=1))
+        candidates = sum(len(s.candidates) for s in report.steps)
+        assert any(c.history[1:] for s in report.steps for c in s.candidates)  # some trained
+        assert len(calls) == candidates == 16
+        report.to_dict()
+        assert len(calls) == candidates + 1
 
 
 class TestDuplicateIds:
@@ -329,24 +338,23 @@ class TestOutputWidth:
 
 class TestSettingsCheckedFirst:
     @pytest.mark.parametrize(
-        "build, k0, schedule, message",
+        "build, k0, message",
         [
-            (cn.bbcn, 9, None, "k0 = 9 exceeds pool size 3"),
-            (cn.exhaustive, 9, None, "k0 = 9 exceeds pool size 3"),
-            (cn.exhaustive, 2, "ring", "unknown schedule 'ring'"),
+            (cn.bbcn, 9, "k0 = 9 exceeds pool size 3"),
+            (cn.exhaustive, 9, "k0 = 9 exceeds pool size 3"),
+            (cn.bbcn, 0, "k0 = 0 is below 1"),
         ],
-        ids=["bbcn-k0", "exhaustive-k0", "exhaustive-schedule"],
+        ids=["bbcn-k0", "exhaustive-k0", "bbcn-k0-zero"],
     )
-    def test_rejected_before_evaluation(self, task, monkeypatch, build, k0, schedule, message):
+    def test_rejected_before_evaluation(self, task, monkeypatch, build, k0, message):
         data, comps = task
 
         def refuse_evaluation(*args, **kwargs):
             raise AssertionError("evaluated a component of an invalid run")
 
         monkeypatch.setattr("compnet.construct._component_state", refuse_evaluation)
-        kwargs = {} if schedule is None else {"schedule": schedule}
         with pytest.raises(cn.ConstructionError, match=message):
-            build(comps[:3], data, _fast_cfg(k0=k0), **kwargs)
+            build(comps[:3], data, _fast_cfg(k0=k0))
 
 
 class TestCandidateGuard:
@@ -356,10 +364,10 @@ class TestCandidateGuard:
     def test_candidate_guard(self, task, monkeypatch, build):
         data, _ = task
         rng = np.random.default_rng(0)
-        many = [cn.Component.mlp(f"c{i}", [5, 1], rng) for i in range(13)]
-        # 12 merges x 342 activations = 4104 candidates with one variant per
+        many = [cn.Component.mlp(f"c{i}", [5, 1], rng) for i in range(822)]
+        # 821 merges x 5 activations = 4105 candidates with one variant per
         # operand (dbcn, bbcn); exhaustive has four variant pairs per merge
-        cfg = _fast_cfg(activations=tuple([cn.LINEAR] * 342))
+        cfg = _fast_cfg(activations=(cn.LINEAR, cn.SL, cn.LOGISTIC, cn.TANH, cn.RELU))
 
         class Fitted(Exception):
             pass
@@ -379,9 +387,7 @@ class TestDeepPool:
     """Plans over pools far deeper than Python's recursion limit."""
 
     @pytest.mark.parametrize(
-        "build, size",
-        [(cn.dbcn, 1100), (functools.partial(cn.exhaustive, schedule="chain"), 1000)],
-        ids=["dbcn", "exhaustive-chain"],
+        "build, size", [(cn.dbcn, 1100), (cn.exhaustive, 1000)], ids=["dbcn", "exhaustive-chain"]
     )
     def test_reaches_training(self, task, monkeypatch, build, size):
         # dbcn: 1099 candidates; exhaustive: 999 merges x 4 variant pairs = 3996
@@ -398,7 +404,7 @@ class TestDeepPool:
         # closed-form candidates never call ``train``, so stub the candidate fit
         monkeypatch.setattr("compnet.construct._fit", refuse_fit)
         with pytest.raises(Fitted):
-            build(pool, data, _fast_cfg(activations=(cn.LINEAR,)))
+            build(pool, data, _fast_cfg(activations=(cn.LINEAR,), k0=1))
 
     def test_each_leaf_runs_once_per_split_and_given_splits_change_no_bit(self, monkeypatch):
         """A deep dbcn run to the end, with a trained activation at every
@@ -425,7 +431,7 @@ class TestDeepPool:
             plain = train(*args, **kwargs)
             del calls[before:]  # only the run that construction makes is counted
             assert plain.history == result.history and plain.best == result.best
-            layout = cn.parameter_layout(result.net, result.components, kwargs["trainable_nodes"])
+            layout = kwargs["layout"]
             np.testing.assert_array_equal(
                 cn.get_parameters(plain.net, plain.components, layout),
                 cn.get_parameters(result.net, result.components, layout),

@@ -82,12 +82,17 @@ def _trees():
             yield ast.parse(path.read_text(encoding="utf-8"))
 
 
-def _callee(call: ast.Call) -> str | None:
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    return None
+def _callees(call: ast.Call) -> list[str]:
+    """The names a call may reach: its function's, or, for a dispatch
+    table ``{key: f, ...}[key](...)``, every function in the table."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return [func.id]
+    if isinstance(func, ast.Attribute):
+        return [func.attr]
+    if isinstance(func, ast.Subscript) and isinstance(func.value, ast.Dict):
+        return [v.id for v in func.value.values if isinstance(v, ast.Name)]
+    return []
 
 
 def _defaulted(func: ast.FunctionDef, is_method: bool):
@@ -117,8 +122,9 @@ def test_every_defaulted_parameter_is_passed():
     calls: dict[str, list[ast.Call]] = {}
     for tree in _trees():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and _callee(node) is not None:
-                calls.setdefault(_callee(node), []).append(node)
+            if isinstance(node, ast.Call):
+                for name in _callees(node):
+                    calls.setdefault(name, []).append(node)
 
     never_passed = []
     for stem, tree in _package():

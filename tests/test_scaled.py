@@ -104,6 +104,24 @@ class TestApply:
         np.testing.assert_allclose(np.asarray(cn.apply_wrapper(w, g)), direct, atol=1e-9)
 
 
+class TestCenteredValue:
+    GRID = np.array([-50.0, -3.0, -1.0, -1e-3, -1e-8, -1e-300, 0.0, 1e-300, 1e-8, 1e-3, 1.0, 50.0])
+
+    @pytest.mark.parametrize("act", [cn.LINEAR, cn.TANH, cn.RELU, cn.SL], ids=lambda a: a.tag)
+    def test_is_the_value_where_value_of_zero_is_zero(self, act):
+        np.testing.assert_array_equal(act.centered_value(self.GRID), act.value(self.GRID))
+
+    def test_logistic_is_value_minus_half_without_cancellation(self):
+        """``value - 0.5`` matches to 1e-15 relative, past the half ulp of
+        0.5 (2**-54) that the subtraction may lose; where it cancels to 0
+        the centered value still carries delta / 4."""
+        got, value = cn.LOGISTIC.centered_value(self.GRID), cn.LOGISTIC.value(self.GRID)
+        np.testing.assert_allclose(got, value - 0.5, rtol=1e-15, atol=2.0**-54)
+        cancelled = (value - 0.5 == 0.0) & (self.GRID != 0.0)
+        assert cancelled.any()
+        np.testing.assert_allclose(got[cancelled], self.GRID[cancelled] / 4.0, rtol=1e-15)
+
+
 class TestVerifyMargin:
     def test_perfect_combiner_gets_positive_epsilon(self):
         y = np.array([1.0, 2.0, 3.0])

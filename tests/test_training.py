@@ -195,9 +195,8 @@ class TestTrain:
         data, comps = small_task
         reg = cn.registry(comps)
         net = _sandwich_net(comps)
-        result = cn.train(
-            net, reg, data, cn.TrainConfig(max_epochs=20, seed=1), trainable_nodes={"outer"}
-        )
+        layout = cn.parameter_layout(net, reg, {"outer"})
+        result = cn.train(net, reg, data, cn.TrainConfig(max_epochs=20, seed=1), layout=layout)
         np.testing.assert_array_equal(result.net.node("inner").theta, net.node("inner").theta)
         assert not np.array_equal(result.net.node("outer").theta, net.node("outer").theta)
 
@@ -304,14 +303,13 @@ def _chain(leaves, inner, root):
     return cn.CompositeNetwork(nodes, prev)
 
 
-def _reference_train(net, reg, data, cfg, trainable_nodes):
+def _reference_train(net, reg, data, cfg, layout):
     """``train`` with nothing cached: every batch runs the whole network
     through the public ``gradients`` and every row's loss is ``loss_l2``.
     Row 0 is the start; the parameters returned are the last row's that
     improved on the best train loss by more than 1e-12."""
     net = net.copy()
     reg = {k: c.copy() for k, c in reg.items()}
-    layout = cn.parameter_layout(net, reg, trainable_nodes)
     x, y = data.inputs[data.train_idx], data.labels[data.train_idx]
     rng = np.random.default_rng(cfg.seed)
     velocity = np.zeros(layout.size)
@@ -385,10 +383,10 @@ class TestCachedTraining:
         data, comps = small_task
         net, reg, trainable = _oracle_case(case, comps)
         cfg = cn.TrainConfig(max_epochs=12, early_stop_patience=3, seed=5)
-        result = cn.train(net, reg, data, cfg, trainable_nodes=trainable)
-        history, params = _reference_train(net, reg, data, cfg, trainable)
+        layout = cn.parameter_layout(net, reg, trainable)
+        result = cn.train(net, reg, data, cfg, layout=layout)
+        history, params = _reference_train(net, reg, data, cfg, layout)
         assert [(h.train_loss, h.test_loss) for h in result.history] == history
-        layout = cn.parameter_layout(result.net, result.components, trainable)
         np.testing.assert_array_equal(
             cn.get_parameters(result.net, result.components, layout), params
         )
@@ -404,11 +402,11 @@ class TestCachedTraining:
             return forward(self, x, trace)
 
         monkeypatch.setattr(cn.Component, "forward", counting_forward)
-        counts = []
+        counts, layout = [], cn.parameter_layout(net, cn.registry(comps), {"mix4"})
         for epochs in (2, 6):
             calls.clear()
             cfg = cn.TrainConfig(max_epochs=epochs, early_stop_patience=0, seed=1)
-            result = cn.train(net, cn.registry(comps), data, cfg, trainable_nodes={"mix4"})
+            result = cn.train(net, cn.registry(comps), data, cfg, layout=layout)
             assert len(result.history) == epochs + 1  # row 0 is the start
             counts.append(len(calls))
         # one forward per component reference per split, however long training runs
@@ -425,7 +423,8 @@ class TestCachedTraining:
             for idx in (data.train_idx, data.test_idx)
         ]
         cfg = cn.TrainConfig(max_epochs=6, early_stop_patience=0, seed=1)
-        plain = cn.train(net, reg, data, cfg, trainable_nodes={"mix4"})
+        layout = cn.parameter_layout(net, reg, {"mix4"})
+        plain = cn.train(net, reg, data, cfg, layout=layout)
         forward, calls = cn.Component.forward, []
 
         def counting_forward(self, x, trace=None):
@@ -434,7 +433,7 @@ class TestCachedTraining:
 
         monkeypatch.setattr(cn.Component, "forward", counting_forward)
         splits = cn.training.data_splits(data, starts)
-        given = cn.train(net, reg, data, cfg, trainable_nodes={"mix4"}, splits=splits)
+        given = cn.train(net, reg, data, cfg, layout=layout, splits=splits)
         assert given.history == plain.history and len(given.history) == 7
         assert len(calls) <= 2 * len(net.ref_nodes())
 
@@ -466,15 +465,17 @@ def _opened_case(name, data, comps):
     return cn.CompositeNetwork(nodes, "out"), reg, data, {"top", "ro"}
 
 
-def _reference_result(net, reg, data, cfg, trainable_nodes=None, splits=None):
+def _reference_result(net, reg, data, cfg, layout=None, splits=None):
     """``_reference_train`` as a ``TrainResult``: a copy carrying the
     reference's parameters, the last row that improved on the best train
     loss by more than 1e-12 as ``best``, and the copy's root outputs from
     a plain ``evaluate``.  The given ``splits`` are ignored, so nothing
     is cached."""
-    history, params = _reference_train(net, reg, data, cfg, trainable_nodes)
+    if layout is None:
+        layout = cn.parameter_layout(net, reg)
+    history, params = _reference_train(net, reg, data, cfg, layout)
     net, reg = net.copy(), {k: c.copy() for k, c in reg.items()}
-    cn.set_parameters(net, reg, cn.parameter_layout(net, reg, trainable_nodes), params)
+    cn.set_parameters(net, reg, layout, params)
     best = 0
     for i, (train_loss, _) in enumerate(history):
         if train_loss < history[best][0] - 1e-12:
@@ -523,11 +524,11 @@ class TestCompiledStep:
         data, comps = small_task
         net, reg, data, trainable = _opened_case(name, data, comps)
         cfg = cn.TrainConfig(max_epochs=10, early_stop_patience=3, seed=5)
-        result = cn.train(net, reg, data, cfg, trainable_nodes=trainable)
-        history, params = _reference_train(net, reg, data, cfg, trainable)
+        layout = cn.parameter_layout(net, reg, trainable)
+        result = cn.train(net, reg, data, cfg, layout=layout)
+        history, params = _reference_train(net, reg, data, cfg, layout)
         assert len(history) > 2
         assert [(h.train_loss, h.test_loss) for h in result.history] == history
-        layout = cn.parameter_layout(result.net, result.components, trainable)
         np.testing.assert_array_equal(
             cn.get_parameters(result.net, result.components, layout), params
         )
@@ -589,14 +590,14 @@ class TestCompiledStep:
         np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
         np.testing.assert_array_equal(got, expected)
 
-    @pytest.mark.parametrize("schedule", ["chain", "balanced"])
-    def test_exhaustive_reports_match_reference_trainer(self, small_task, monkeypatch, schedule):
+    @pytest.mark.parametrize("k0", [1, 2], ids=["chain", "balanced"])
+    def test_exhaustive_reports_match_reference_trainer(self, small_task, monkeypatch, k0):
         data, comps = small_task
         tcfg = cn.TrainConfig(max_epochs=6, early_stop_patience=2, seed=3)
-        cfg = cn.ConstructionConfig(train_cfg=tcfg)
-        expected = cn.exhaustive(comps, data, cfg, schedule=schedule).to_dict()
+        cfg = cn.ConstructionConfig(k0=k0, train_cfg=tcfg)
+        expected = cn.exhaustive(comps, data, cfg).to_dict()
         monkeypatch.setattr("compnet.construct.train", _reference_result)
-        assert cn.exhaustive(comps, data, cfg, schedule=schedule).to_dict() == expected
+        assert cn.exhaustive(comps, data, cfg).to_dict() == expected
 
     def test_known_frozen_values_leave_the_gradient_unchanged(self, small_task):
         data, comps = small_task
