@@ -188,9 +188,10 @@ def _json_default(obj):
 
 def write_report(payload: dict, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
+    # one line: without indent, json.dumps runs the stdlib's C encoder
+    text = json.dumps(payload, sort_keys=True, default=_json_default)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _read_mode_flags(args) -> None:
@@ -487,8 +488,9 @@ def _cmd_impute(args):
     if args.out:
         save_grid_csv(args.out, filled)
         print(f"wrote {args.out}")
-    for row in filled.tolist():
-        print("  ".join(f"{v:8.3f}" for v in row))
+    if not args.out and _report_path(args) is None:  # no file holds the grid
+        for row in filled.tolist():
+            print("  ".join(f"{v:8.3f}" for v in row))
     print(f"filled {n_filled} missing cells with k={args.k}")
     payload = {
         "k": args.k,

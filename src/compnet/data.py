@@ -48,8 +48,9 @@ class GridSpec:
                 raise DataError(f"station {sid!r} at ({r}, {c}) is outside the grid")
 
 
-# distance entries per chunk of missing cells: each of the chunk's integer
-# arrays then takes 128 KB, and all of them together about 1 MB
+# entries (cell, candidate neighbour) per chunk of missing cells: each of
+# the chunk's integer arrays then takes 128 KB, and all of them together
+# about 1 MB
 _KNN_CHUNK_ENTRIES = 1 << 14
 
 
@@ -57,7 +58,17 @@ def knn_impute(grid_values, spec: GridSpec | None = None, k: int = 4) -> np.ndar
     """Fill missing (NaN) cells with the mean of the k nearest known
     cells by Euclidean distance on grid coordinates; distance ties break
     by (row, col) order, and the mean sums the k values in that order.
-    A mean that overflows raises DataError naming its cell."""
+    A mean that overflows raises DataError naming its cell.
+
+    Each cell searches a window of grid offsets within a squared radius,
+    nearest first, and takes the first k known cells it meets; every
+    cell that ranks before the k-th lies inside the window, so the result
+    is exact.  The first radius holds about 2k known cells at the grid's
+    density, and each round doubles it for the cells that found fewer
+    than k.  Once a window would hold as many offsets as the grid has
+    known cells, the remaining cells scan every known cell instead.
+    Both searches work in chunks of about ``_KNN_CHUNK_ENTRIES`` entries.
+    """
     g = np.array(grid_values, dtype=float)
     if g.ndim != 2:
         raise DataError("grid must be 2-D")
@@ -68,35 +79,87 @@ def knn_impute(grid_values, spec: GridSpec | None = None, k: int = 4) -> np.ndar
     if np.isinf(g).any():
         raise DataError("grid has infinite cells; only NaN marks a missing cell")
     known_mask = np.isfinite(g)
-    known = np.argwhere(known_mask)
-    if known.shape[0] < k:
-        raise DataError(f"need at least {k} known cells, found {known.shape[0]}")
+    n_known = int(np.count_nonzero(known_mask))
+    if n_known < k:
+        raise DataError(f"need at least {k} known cells, found {n_known}")
     out = g.copy()
-    missing = np.argwhere(~known_mask)
-    if missing.size == 0:
-        return out
-    known_values = g[known_mask]  # argwhere and boolean indexing share C order
+    cells = np.argwhere(~known_mask)
+    r2 = max(1, math.ceil(2 * k * g.size / (math.pi * n_known)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        while cells.size:
+            half = _window_half_widths(r2, g.shape)
+            if int(np.sum(2 * half + 1)) >= n_known:
+                _scan_fill(out, known_mask, k, cells)
+                break
+            cells = _window_fill(out, known_mask, k, half, cells)
+            r2 *= 4
+    # known cells are finite, so this is the first overflow in (row, col) order
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        r, c = bad[0]
+        raise DataError(f"the mean of the {k} nearest known cells overflows at ({r}, {c})")
+    return out
+
+
+def _window_half_widths(r2: int, shape: tuple[int, int]) -> np.ndarray:
+    """Half-width of the window at each row offset -a..a: the offsets with
+    dr**2 + dc**2 <= r2, less those that leave every cell's grid."""
+    rows, cols = shape
+    a = min(math.isqrt(r2), rows - 1)
+    return np.array([min(math.isqrt(r2 - dr * dr), cols - 1) for dr in range(-a, a + 1)])
+
+
+def _window_fill(out, known_mask, k, half, cells) -> np.ndarray:
+    """Fill the cells that find k known cells in the window; return the
+    cells left missing."""
+    rows, cols = out.shape
+    a, b = half.size // 2, int(half.max())
+    lengths = 2 * half + 1
+    dr = np.repeat(np.arange(-a, a + 1), lengths)
+    dc = np.arange(dr.size) - np.repeat(np.cumsum(lengths) - half - 1, lengths)
+    # for a fixed cell, (d2, row, col) order is (d2, dr, dc) order
+    order = np.lexsort((dc, dr, dr * dr + dc * dc))
+    dr, dc = dr[order], dc[order]
+    # out-of-grid offsets land on the pad's False cells
+    width = cols + 2 * b
+    padded = np.zeros((rows + 2 * a, width), dtype=bool)
+    padded[a : a + rows, b : b + cols] = known_mask
+    padded = padded.ravel()
+    offsets = dr * width + dc
+    reach = dr * cols + dc  # the same offsets in the grid's own flat index
+    values = out.ravel()  # a view: each fill writes only missing cells
+    left = []
+    step = max(1, _KNN_CHUNK_ENTRIES // dr.size)
+    for start in range(0, cells.shape[0], step):
+        r, c = cells[start : start + step, 0], cells[start : start + step, 1]
+        seen = padded[((r + a) * width + c + b)[:, None] + offsets]
+        count = np.cumsum(seen, axis=1)
+        hit = count[:, -1] >= k
+        i, j = np.nonzero(seen & (count <= k) & hit[:, None])
+        # each row of this C-contiguous (cells, k) array sums in the
+        # order that np.mean of the k nearest values as one 1-D array does
+        nearest = values[(r * cols + c)[i] + reach[j]].reshape(-1, k)
+        out[r[hit], c[hit]] = np.mean(nearest, axis=1)
+        left.append(cells[start : start + step][~hit])
+    return np.concatenate(left)
+
+
+def _scan_fill(out, known_mask, k, cells) -> None:
+    """Fill the cells, each from a scan of every known cell."""
+    known = np.argwhere(known_mask)
+    known_values = out[known_mask]  # argwhere and boolean indexing share C order
     n_known = known.shape[0]
     # known is in (row, col) order, so d2 * n_known + position sorts by
     # distance and breaks ties by (row, col); each key is unique in its row
     position = np.arange(n_known)
     step = max(1, _KNN_CHUNK_ENTRIES // n_known)
-    means = np.empty(missing.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
-        for start in range(0, missing.shape[0], step):
-            cells = missing[start : start + step]
-            d2 = (cells[:, :1] - known[:, 0]) ** 2 + (cells[:, 1:] - known[:, 1]) ** 2
-            nearest = np.partition(d2 * n_known + position, k - 1, axis=1)[:, :k]
-            nearest.sort(axis=1)
-            # each row of this C-contiguous (cells, k) array sums in the
-            # order that np.mean of the k nearest values as one 1-D array does
-            means[start : start + step] = np.mean(known_values[nearest % n_known], axis=1)
-    bad = np.flatnonzero(~np.isfinite(means))
-    if bad.size:
-        r, c = missing[bad[0]]
-        raise DataError(f"the mean of the {k} nearest known cells overflows at ({r}, {c})")
-    out[missing[:, 0], missing[:, 1]] = means
-    return out
+    for start in range(0, cells.shape[0], step):
+        chunk = cells[start : start + step]
+        d2 = (chunk[:, :1] - known[:, 0]) ** 2 + (chunk[:, 1:] - known[:, 1]) ** 2
+        nearest = np.partition(d2 * n_known + position, k - 1, axis=1)[:, :k]
+        nearest.sort(axis=1)
+        # C-contiguous (cells, k) rows, summed as in _window_fill
+        out[chunk[:, 0], chunk[:, 1]] = np.mean(known_values[nearest % n_known], axis=1)
 
 
 def rasterize_stations(spec: GridSpec, station_values: dict[str, float]) -> np.ndarray:
@@ -366,7 +429,7 @@ def load_csv(path, features: list[str], labels: list[str]) -> Dataset:
                 ys = [float(row[col_idx[c]]) for c in labels]
             except ValueError as exc:
                 raise DataError(f"{path}: line {line_no}: cannot parse row ({exc})") from exc
-            if not all(np.isfinite(xs)) or not all(np.isfinite(ys)):
+            if not all(map(math.isfinite, xs)) or not all(map(math.isfinite, ys)):
                 bad_rows.append(line_no)
                 continue
             rows_x.append(xs)
@@ -440,8 +503,10 @@ def load_grid_csv(path) -> np.ndarray:
 
 
 def save_grid_csv(path, grid: np.ndarray) -> None:
+    """Write a grid as csv.writer would, with non-finite cells empty."""
     grid = np.asarray(grid, dtype=float)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
         for row in grid.tolist():
-            writer.writerow([repr(v) if math.isfinite(v) else "" for v in row])
+            cells = [repr(v) if math.isfinite(v) else "" for v in row]
+            # csv.writer quotes a row's one empty cell so that it reads back
+            fh.write(('""' if cells == [""] else ",".join(cells)) + "\r\n")

@@ -1,12 +1,15 @@
 """CLI: exit codes, determinism, report/manifest plumbing."""
 
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import compnet as cn
-from compnet.cli import build_parser, main, replay_manifest
+from compnet.cli import build_parser, main, replay_manifest, write_report
 
 
 def run(argv, capsys=None):
@@ -262,6 +265,22 @@ class TestCompose:
             assert chain[key] == k0_one[key], key
         assert len(chain["steps"]) == 4
 
+        # the impute command, on a grid with empty cells
+        rng = np.random.default_rng(4)
+        grid = rng.normal(size=(12, 12))
+        grid[rng.random(grid.shape) < 0.3] = np.nan
+        g, filled, rep = tmp_path / "g.csv", tmp_path / "G.csv", tmp_path / "G.json"
+        g.write_text(
+            "".join(",".join("" if np.isnan(v) else repr(v) for v in row) + "\n" for row in grid.tolist())
+        )
+        argv = ["impute", "--grid", str(g), "--k", "4", "--out", str(filled), "--report", str(rep)]
+        assert main(argv) == 0
+        report_grid = np.array(json.loads(rep.read_text())["grid"])
+        np.testing.assert_array_equal(report_grid, cn.load_grid_csv(filled))
+        known = np.isfinite(grid)
+        np.testing.assert_array_equal(report_grid[known], grid[known])
+        assert np.isfinite(report_grid).all()
+
     @pytest.mark.parametrize(
         "mode, flag, message",
         [
@@ -466,6 +485,75 @@ class TestImpute:
         assert main(argv) == 2
         assert "overflows at (1, 1)" in capsys.readouterr().err
         assert not out.exists() and not rep.exists()
+
+
+class TestImputeOutput:
+    @pytest.mark.parametrize("files", [["--out"], ["--report"], ["--out", "--report"]])
+    def test_grid_not_printed_when_a_file_holds_it(self, tmp_path, capsys, files):
+        paths = {flag: tmp_path / f"imp-{flag[2:]}" for flag in files}
+        argv = ["impute", "--demo", "--k", "2"]
+        for flag, path in paths.items():
+            argv += [flag, str(path)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert ("--out" in files) == (lines[0] == f"wrote {paths.get('--out')}")
+        assert "filled 8 missing cells with k=2" in lines
+        assert len(lines) == len(files) + 1
+
+    def test_grid_printed_when_no_file_holds_it(self, capsys):
+        assert main(["impute", "--demo", "--k", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5 and lines[-1] == "filled 8 missing cells with k=2"
+        assert lines[0].split() == ["12.000", "13.000", "14.000", "15.000", "16.000"]
+
+
+class TestWriteReport:
+    def test_reports_and_manifests_are_one_line(self, bundle, tmp_path, capsys):
+        runs = {
+            "synth": ["synth", "--seed", "2", "--n", "60", "--out", str(tmp_path / "s")],
+            "compose": ["compose", "dbcn", "--pool", str(bundle / "components.json"),
+                        "--data", str(bundle / "data.csv")],
+            "verify": ["verify", "prop1", "--n", "100", "--k", "2", "--trials", "120"],
+            "impute": ["impute", "--demo", "--k", "2"],
+        }
+        files = [tmp_path / "s" / "components.json"]
+        for name, argv in runs.items():
+            rep = tmp_path / f"{name}.json"
+            assert main(argv + ["--report", str(rep)]) == 0, name
+            files += [rep, tmp_path / f"{name}.json.manifest.json"]
+        for path in files:
+            text = path.read_text(encoding="utf-8")
+            assert text.endswith("\n") and text.count("\n") == 1, path.name
+            json.loads(text)
+
+    def test_payload_round_trips(self, tmp_path):
+        path = tmp_path / "r.json"
+        write_report(
+            {"b": [np.float64(0.1), np.int64(3)], "a": {"grid": np.eye(2), "ok": True, "n": None}},
+            path,
+        )
+        text = path.read_text(encoding="utf-8")
+        assert text.index('"a"') < text.index('"b"')
+        assert json.loads(text) == {
+            "a": {"grid": [[1.0, 0.0], [0.0, 1.0]], "ok": True, "n": None},
+            "b": [0.1, 3],
+        }
+
+    @given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20))
+    @example(values=[5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0, 1e308, -1e308])
+    @example(values=[float("nan"), float("inf"), float("-inf"), 0.1, 1 / 3])
+    @settings(max_examples=60, deadline=None)
+    def test_floats_round_trip_bit_for_bit(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("floats") / "r.json"
+        write_report({"values": values, "array": np.array(values)}, path)
+        back = json.loads(path.read_text(encoding="utf-8"))
+        for got in (back["values"], back["array"]):
+            assert len(got) == len(values)
+            for want, have in zip(values, got):
+                if math.isnan(want):
+                    assert math.isnan(have)
+                else:
+                    assert struct.pack("<d", have) == struct.pack("<d", want)
 
 
 class TestReportDirEnv:

@@ -23,6 +23,15 @@ def _brute_force_impute(grid, k):
     return out
 
 
+def _knn_peak_bytes(grid):
+    tracemalloc.start()
+    try:
+        cn.knn_impute(grid, k=4)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestKnnImpute:
     def test_constant_grid(self):
         g = np.full((4, 4), np.nan)
@@ -59,33 +68,55 @@ class TestKnnImpute:
     )
     @example(seed=1, rows=1, cols=12, missing=0.3, k=3, integers=True)
     @example(seed=2, rows=12, cols=1, missing=0.3, k=9, integers=False)
-    # about 800 known cells: 20 missing cells per chunk, and about 40 chunks
+    # about 800 known cells: the window search fills most cells in its
+    # first round, and its chunks hold hundreds of cells
     @example(seed=3, rows=40, cols=40, missing=0.5, k=8, integers=True)
+    # about 170 known cells and k = 1: two window rounds, then the scan
+    # for the few cells that the second window left
+    @example(seed=4, rows=40, cols=40, missing=0.9, k=1, integers=False)
+    # k known cells in one corner: every cell ends in the full scan
+    @example(seed=5, rows=30, cols=30, missing=-1.0, k=5, integers=True)
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force_property(self, seed, rows, cols, missing, k, integers):
         """Integer cells tie on value, and every grid ties on distance;
-        k >= 8 covers numpy's pairwise summation."""
+        k >= 8 covers numpy's pairwise summation.  A negative ``missing``
+        keeps only k known cells, packed into the top-left corner."""
         rng = np.random.default_rng(seed)
         if integers:
             g = rng.integers(-3, 4, size=(rows, cols)).astype(float)
         else:
             g = rng.normal(size=(rows, cols))
-        g[rng.random(g.shape) < missing] = np.nan
+        if missing < 0:
+            corner = np.zeros(g.size, dtype=bool)
+            corner[:k] = True
+            g[~corner.reshape(g.shape)] = np.nan
+        else:
+            g[rng.random(g.shape) < missing] = np.nan
         assume(np.isfinite(g).sum() >= k)
         np.testing.assert_array_equal(cn.knn_impute(g, k=k), _brute_force_impute(g, k))
+
+    def test_matches_brute_force_on_the_benchmark_shape(self):
+        """An 80x80 grid with 30% of its cells missing, and k = 4."""
+        rng = np.random.default_rng(11)
+        g = rng.normal(size=(80, 80))
+        g[rng.random(g.shape) < 0.3] = np.nan
+        np.testing.assert_array_equal(cn.knn_impute(g, k=4), _brute_force_impute(g, 4))
 
     def test_peak_memory_is_bounded(self):
         """Chunking keeps the temporaries of a 120x120 grid near 1 MB."""
         rng = np.random.default_rng(0)
         g = rng.normal(size=(120, 120))
         g[rng.random(g.shape) < 0.3] = np.nan
-        tracemalloc.start()
-        try:
-            cn.knn_impute(g, k=4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20
+        assert _knn_peak_bytes(g) < 2 * 2**20
+
+    @pytest.mark.parametrize("n_known", [4, 10])
+    def test_peak_memory_is_bounded_on_sparse_grids(self, n_known):
+        """A window as wide as such a grid would outgrow the chunk bound,
+        so these cells go to the scan before any window is built."""
+        rng = np.random.default_rng(0)
+        g = np.full(120 * 120, np.nan)
+        g[rng.choice(g.size, n_known, replace=False)] = rng.normal(size=n_known)
+        assert _knn_peak_bytes(g.reshape(120, 120)) < 2 * 2**20
 
     def test_overflowing_mean_names_its_cell(self):
         g = np.array([[1e308, 1e308], [1e308, np.nan]])
@@ -241,6 +272,13 @@ class TestCsv:
         p = tmp_path / "bad.csv"
         p.write_text("x1,y1\n1.0,2.0\n3.0,NaN\n")
         with pytest.raises(cn.DataError, match=r"rows: \[3\]"):
+            cn.load_csv(p, ["x1"], ["y1"])
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_cells_name_their_rows(self, tmp_path, cell):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"x1,y1\n1.0,2.0\n{cell},3.0\n4.0,5.0\n6.0,{cell}\n")
+        with pytest.raises(cn.DataError, match=r"non-finite values in rows: \[3, 5\]$"):
             cn.load_csv(p, ["x1"], ["y1"])
 
     def test_missing_columns(self, tmp_path):
