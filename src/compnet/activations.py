@@ -68,31 +68,22 @@ class Activation:
 
     def derivative(self, z):
         z = np.asarray(z, dtype=float)
-        if self.tag == "linear":
-            return np.ones_like(z)
-        if self.tag == "logistic":
-            s = _expit(z)
-            return s * (1.0 - s)
-        if self.tag == "tanh":
-            t = np.tanh(z)
-            return 1.0 - t * t
-        if self.tag == "scaled-logistic":
-            s = _expit(z / self.scale)
-            return (2.0 * self.out_range / self.scale) * s * (1.0 - s)
-        return (z > 0).astype(float)
+        return self.backprop(np.ones_like(z), z, self.value(z))
 
     def backprop(self, d, z, h):
-        """``d * derivative(z)``, where ``h = value(z)``.  The linear
-        derivative is ones, and the tanh and logistic derivatives are
-        functions of ``h``, so those take the same bits from fewer
-        operations."""
+        """``d`` times the slope at ``z``, where ``h = value(z)``: the one
+        statement of each activation's slope.  The tanh and logistic slopes
+        are functions of ``h``, so they take fewer operations from it."""
         if self.tag == "linear":
             return d
         if self.tag == "logistic":
             return d * (h * (1.0 - h))
         if self.tag == "tanh":
             return d * (1.0 - h * h)
-        return d * self.derivative(z)
+        if self.tag == "scaled-logistic":
+            s = _expit(z / self.scale)
+            return d * ((2.0 * self.out_range / self.scale) * s * (1.0 - s))
+        return d * (z > 0).astype(float)
 
     def centered_value(self, delta):
         """value(delta) - value(0), computed without cancellation.

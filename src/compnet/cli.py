@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -84,6 +85,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> _Parser:
     parser = _Parser(prog="compnet", description=__doc__)
     parser.add_argument("--version", action="version", version=f"compnet {__version__}")

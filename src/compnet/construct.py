@@ -109,9 +109,6 @@ class CandidateRecord:
     history: list[EpochStats] = field(default_factory=list, repr=False)
     note: str = ""  # why the mixing weights did not start at theta*
 
-    def metric(self, selection_metric: str) -> float:
-        return self.train_loss if selection_metric == "train_loss" else self.test_loss
-
 
 @dataclass
 class StepRecord:
@@ -194,27 +191,21 @@ def component_loss(comp: Component, data: Dataset, split: str = "train") -> floa
     return loss_l2(net, {comp.id: comp}, data, split)
 
 
-# -- internal state --------------------------------------------------------
+# -- fitted networks -------------------------------------------------------
+# A pool leaf, a candidate and a merge's winner are each a ``TrainResult``;
+# a leaf's and a closed-form candidate's history is row 0 alone.
 
 
-@dataclass
-class _State:
-    net: CompositeNetwork
-    comps: dict[str, Component]
-    train_loss: float
-    test_loss: float
-    outputs: list[np.ndarray | None] | None  # the root's, per split, until its merge has run
-
-    def metric(self, selection_metric: str) -> float:
-        return self.train_loss if selection_metric == "train_loss" else self.test_loss
+def _metric(row: EpochStats | CandidateRecord, selection_metric: str) -> float:
+    return row.train_loss if selection_metric == "train_loss" else row.test_loss
 
 
-def _component_state(comp: Component, data: Dataset) -> _State:
+def _component_state(comp: Component, data: Dataset) -> TrainResult:
     net, comps = single_component_network(comp.id), {comp.id: comp}
     splits = data_splits(data, [{}, {}])
-    outputs = [evaluate(net, comps, s.inputs) if s else None for s in splits]
-    tr, te = (residual_loss(o, s.labels) if s else float("nan") for o, s in zip(outputs, splits))
-    return _State(net, comps, tr, te, outputs)
+    outputs = [evaluate(net, comps, s.inputs) for s in splits]
+    row = EpochStats(0, *(residual_loss(o, s.labels) for o, s in zip(outputs, splits)))
+    return TrainResult(net, comps, [row], 0, outputs)
 
 
 def _derive_seed(base: int, key: str) -> int:
@@ -241,15 +232,15 @@ def _theta_star(split: Split) -> np.ndarray:
     return solve_theta_star(build_gram(np.column_stack(cols), split.labels.ravel()))
 
 
-def _operand_splits(left: _State, right: _State, data: Dataset) -> list[Split | None]:
+def _operand_splits(left: TrainResult, right: TrainResult, data: Dataset) -> list[Split]:
     """The ``data_splits`` knowing both operand outputs.  An opened copy of
     an operand has the same weights, so every candidate of a merge starts from these."""
     return data_splits(data, [{op.net.root: op.outputs[i] for op in (left, right)} for i in (0, 1)])
 
 
 def _fit(
-    left: _State,
-    right: _State,
+    left: TrainResult,
+    right: TrainResult,
     activation: Activation,
     ids: Iterator[int],
     description: str,
@@ -257,17 +248,16 @@ def _fit(
     opened: set[str],
     data: Dataset,
     cfg: ConstructionConfig,
-    splits: list[Split | None],
-) -> tuple[_State | None, CandidateRecord, str | None]:
+    splits: list[Split],
+) -> tuple[TrainResult | None, CandidateRecord, str | None]:
     """Build the candidate activation(mix(left, right)), with its mixing
     weights at theta*, the least-squares mix of the operand outputs on the
     train rows (the left operand passed through when A1 fails).  A
     ``_closed_form`` candidate is that start; any other trains its mixing
     weights plus the blocks of the ``opened`` components from it.
     ``splits`` are the merge's ``_operand_splits``, shared by its
-    candidates.  Returns the state (None when the candidate failed), with
-    its root's outputs from its best row, the candidate record and the
-    error."""
+    candidates.  Returns the fitted candidate (None when it failed), the
+    candidate record and the error."""
     note = ""
     try:
         theta = _theta_star(splits[0])
@@ -279,14 +269,14 @@ def _fit(
     if activation.tag != "linear":
         nodes.append(Activate(f"act:{next(ids)}", mix.id, activation))
     net = CompositeNetwork(nodes, nodes[-1].id)
-    comps = {**left.comps, **right.comps}
+    comps = {**left.components, **right.components}
     trainable = {mix.id} | {ref.id for ref in net.ref_nodes() if ref.component in opened}
     layout = parameter_layout(net, comps, trainable)
     size, total = layout.size, layout.total
     try:
         if _closed_form(activation, opened):
             row, values = history_row(net, comps, 0, splits)
-            result = TrainResult(net, comps, [row], 0, [v[net.root] if v else None for v in values])
+            result = TrainResult(net, comps, [row], 0, [v[net.root] for v in values])
         else:
             tcfg = replace(cfg.train_cfg, seed=_derive_seed(cfg.train_cfg.seed, seed_key))
             result = train(net, comps, data, tcfg, layout=layout, splits=splits)
@@ -295,24 +285,23 @@ def _fit(
         return None, record, str(exc)
     history, row = result.history, result.history[result.best]
     record = CandidateRecord(description, row.train_loss, row.test_loss, size, total, history, note)
-    state = _State(result.net, result.components, row.train_loss, row.test_loss, result.outputs)
-    return state, record, None
+    return result, record, None
 
 
 def _select(
     label: str, outcomes: list, cfg: ConstructionConfig
-) -> tuple[_State, StepRecord, list[str]]:
-    """The winning state of one merge (the first candidate with the lowest
+) -> tuple[TrainResult, StepRecord, list[str]]:
+    """The winner of one merge (the first candidate with the lowest
     selection metric), its step record and the notes on its candidates."""
     metric = cfg.selection_metric
     trained = [(state, rec) for state, rec, err in outcomes if err is None]
-    if any(np.isnan(rec.metric(metric)) for _, rec in trained):
+    if any(np.isnan(_metric(rec, metric)) for _, rec in trained):
         raise ConstructionError(
             f"{label}: selection metric {metric!r} is undefined (empty test split?)"
         )
     if not trained:
         raise ConstructionError(f"{label}: every candidate failed training")
-    state, best = min(trained, key=lambda pair: pair[1].metric(metric))
+    state, best = min(trained, key=lambda pair: _metric(pair[1], metric))
     notes = []
     for _, rec, err in outcomes:
         if rec.note:
@@ -345,7 +334,7 @@ class _Operand:
     the merges that use them; operands hash by identity."""
 
     name: str  # in candidate descriptions
-    state: _State | None  # a leaf's component state; a merge's winner once run
+    state: TrainResult | None  # a leaf's component state; a merge's winner once run
     fresh: bool = False  # a leaf holding a non-instantiated component
     left: _Operand | None = None
     right: _Operand | None = None
@@ -445,8 +434,8 @@ def _execute(
         for op in (m.left, m.right):
             marks, open_state = _marks(op, open_all), op.state
             if "o" in marks and not op.fresh:  # a fresh leaf's component is open already
-                comps = {cid: comp.opened_copy() for cid, comp in op.state.comps.items()}
-                open_state = replace(op.state, comps=comps)
+                comps = {cid: comp.opened_copy() for cid, comp in op.state.components.items()}
+                open_state = replace(op.state, components=comps)
             variants.append([(mark, op.state if mark == "x" else open_state) for mark in marks])
         splits = _operand_splits(m.left.state, m.right.state, data)
         outcomes = []
@@ -458,8 +447,8 @@ def _execute(
                     description = f"{act.label}({m.left.name},{m.right.name})"
                 seed_key = f"{m.seed_prefix}:{act.tag}:{lmark}{rmark}"
                 opened = {
-                    *(lstate.comps if lmark == "o" else ()),
-                    *(rstate.comps if rmark == "o" else ()),
+                    *(lstate.components if lmark == "o" else ()),
+                    *(rstate.components if rmark == "o" else ()),
                 }
                 trained = trained or not _closed_form(act, opened)
                 outcomes.append(
@@ -468,7 +457,8 @@ def _execute(
                     )
                 )
         m.state, record, step_notes = _select(m.label, outcomes, cfg)
-        m.left.state.outputs = m.right.state.outputs = None  # nothing reads them after the merge
+        m.left.state.outputs.clear()  # nothing reads them after the merge
+        m.right.state.outputs.clear()
         steps.append(record)
         notes.extend(step_notes)
         notes.extend(m.notes)
@@ -483,23 +473,24 @@ def _execute(
 def _report(
     algorithm: str,
     pool: list[Component],
-    final: _State,
+    final: TrainResult,
     final_depth: int,
     pruned_from: int,
     steps: list[StepRecord],
     notes: list[str],
     cfg: ConstructionConfig,
 ) -> ConstructionReport:
+    row = final.history[final.best]
     return ConstructionReport(
         algorithm=algorithm,
         order=[c.id for c in pool],
         steps=steps,
         final=final.net,
-        final_components=final.comps,
+        final_components=final.components,
         pruned_from=pruned_from,
         final_depth=final_depth,
-        final_train_loss=final.train_loss,
-        final_test_loss=final.test_loss,
+        final_train_loss=row.train_loss,
+        final_test_loss=row.test_loss,
         selection_metric=cfg.selection_metric,
         notes=notes,
     )
@@ -519,6 +510,8 @@ def _ordered(pool: list[Component], data) -> tuple[list[Component], list[_Operan
     """The pool in construction order, and the plan leaf of each of its
     components; each component is evaluated once, ids must be unique, and
     each output width must be 1 or the label width."""
+    if data.train_idx.size == 0:
+        raise ConstructionError("the data has no train rows")
     components = registry(pool)
     labels = data.labels.shape[1]
     for c in pool:
@@ -528,7 +521,7 @@ def _ordered(pool: list[Component], data) -> tuple[list[Component], list[_Operan
                 f"component {c.id!r} outputs {width} columns; the labels have {labels}"
             )
     states = {cid: _component_state(c, data) for cid, c in components.items()}
-    losses = {c.id: states[c.id].train_loss for c in pool if c.kind == KIND_PRETRAINED}
+    losses = {c.id: states[c.id].history[0].train_loss for c in pool if c.kind == KIND_PRETRAINED}
     pool = order_components(pool, losses)
     return pool, [_Operand(c.id, states[c.id], fresh=not all(c.frozen)) for c in pool]
 
@@ -545,7 +538,7 @@ def _pruned_chain(
     """Run the dbcn/bbcn plan under the natural policy, then prune the chain."""
     merges, chain = _chain_plan(leaves, k0)
     steps, notes = _execute(merges, data, cfg, open_all=False, allow_large=allow_large)
-    metric_values = [op.state.metric(cfg.selection_metric) for op in chain]
+    metric_values = [_metric(op.state.history[op.state.best], cfg.selection_metric) for op in chain]
     keep = _prune_index(metric_values, cfg.delta)
     if keep < len(chain) - 1:
         notes.append(

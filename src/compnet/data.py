@@ -230,6 +230,8 @@ class SyntheticTaskSpec:
         if not np.isfinite(self.noise_sd) or self.noise_sd < 0:
             raise DataError("noise_sd must be finite and non-negative")
         self.component_quality = tuple(float(q) for q in self.component_quality)
+        if not self.component_quality:
+            raise DataError("component_quality needs at least one entry")
         if any(q < 0 for q in self.component_quality):
             raise DataError("component_quality entries must be non-negative")
 

@@ -475,7 +475,8 @@ def loss_l2(
 
 def residual_loss(pred: np.ndarray, labels: np.ndarray) -> float:
     """Mean over rows of the squared residual norm: the package's one scalar
-    loss.  A residual too large to square gives inf, with no warning."""
+    loss.  A residual too large to square gives inf, and zero rows give
+    nan, both with no warning."""
     pred = np.asarray(pred, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if labels.ndim == 1:
@@ -484,7 +485,7 @@ def residual_loss(pred: np.ndarray, labels: np.ndarray) -> float:
         pred = pred[:, None]
     if pred.shape[0] != labels.shape[0]:
         raise ModelError("prediction/label row mismatch")
-    with np.errstate(over="ignore"):  # huge finite residuals give an inf loss
+    with np.errstate(over="ignore", invalid="ignore"):
         diff = pred - labels
         return float(np.sum(diff * diff) / labels.shape[0])
 

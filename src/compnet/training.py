@@ -78,7 +78,7 @@ class TrainResult:
     components: dict[str, Component]
     history: list[EpochStats]
     best: int  # the history row whose parameters ``net`` and ``components`` carry
-    outputs: list[np.ndarray | None]  # the root's output at row ``best``, per split
+    outputs: list[np.ndarray]  # the root's output at row ``best``, per split
 
 
 # -- parameter layout ------------------------------------------------------
@@ -229,11 +229,14 @@ def gradients(
     traces: dict[str, list] = {}
     values = node_values(net, components, inputs, traces, known)
     pred = values[net.root]
-    if pred.shape != labels.shape:
+    if pred.shape not in (labels.shape, (labels.shape[0], 1)):
         raise GradientError(f"prediction shape {pred.shape} != label shape {labels.shape}")
 
     flat = np.zeros(layout.size)
-    adjoint: dict[str, np.ndarray] = {net.root: 2.0 * (pred - labels) / batch}
+    root = 2.0 * (pred - labels) / batch
+    if root.shape != pred.shape:  # a width-1 root broadcast to the labels, as in the loss
+        root = root.sum(axis=1, keepdims=True)
+    adjoint: dict[str, np.ndarray] = {net.root: root}
 
     for nid in reversed(layout.live):
         node = net.node(nid)
@@ -309,30 +312,27 @@ class Split:
         return replace(self, known={k: values[k] for k in nodes if k in values})
 
 
-def data_splits(data: Dataset, known: list[dict[str, np.ndarray]]) -> list[Split | None]:
-    """The train and test splits of ``data`` (None when empty), knowing ``known``."""
+def data_splits(data: Dataset, known: list[dict[str, np.ndarray]]) -> list[Split]:
+    """The train and test splits of ``data``, knowing ``known``."""
     pairs = zip((data.train_idx, data.test_idx), known)
-    return [Split(data.inputs[i], data.labels[i], k) if i.size else None for i, k in pairs]
+    return [Split(data.inputs[i], data.labels[i], k) for i, k in pairs]
 
 
 def history_row(
     net: CompositeNetwork,
     components: dict[str, Component],
     epoch: int,
-    splits: list[Split | None],
-) -> tuple[EpochStats, list[dict[str, np.ndarray] | None]]:
-    """One history row: ``evaluate``'s losses on the train and test splits
-    (nan for an empty test split), given each split's ``known``, and the
-    node values behind them (None for an empty split).  A network that
-    ``evaluate`` rejects, or a train loss that is not finite, is a
-    ``TrainingError``."""
+    splits: list[Split],
+) -> tuple[EpochStats, list[dict[str, np.ndarray]]]:
+    """One history row: ``evaluate``'s losses on the train and test splits,
+    given each split's ``known``, and the node values behind them.  A
+    network that ``evaluate`` rejects, or a train loss that is not
+    finite, is a ``TrainingError``."""
     try:
-        values = [s and _checked_values(net, components, s.inputs, s.known) for s in splits]
+        values = [_checked_values(net, components, s.inputs, s.known) for s in splits]
     except EvaluationError as exc:
         raise TrainingError(f"diverged at epoch {epoch}: {exc}") from exc
-    train_loss, test_loss = (
-        residual_loss(v[net.root], s.labels) if s else float("nan") for v, s in zip(values, splits)
-    )
+    train_loss, test_loss = (residual_loss(v[net.root], s.labels) for v, s in zip(values, splits))
     if not np.isfinite(train_loss):
         raise TrainingError(f"diverged at epoch {epoch}: loss is not finite")
     return EpochStats(epoch, train_loss, test_loss), values
@@ -344,7 +344,7 @@ def train(
     data: Dataset,
     cfg: TrainConfig,
     layout: ParamLayout | None = None,
-    splits: list[Split | None] | None = None,
+    splits: list[Split] | None = None,
 ) -> TrainResult:
     """SGD on the training split; returns a trained copy.
 
@@ -394,12 +394,12 @@ def train(
     _bind(net, components, layout, params)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        splits = [s and s.only(s.known, layout.read) for s in splits]
+        splits = [s.only(s.known, layout.read) for s in splits]
         row, values = history_row(net, components, 0, splits)
         # a read node the root does not reach was not computed, and no batch computes it
-        splits = [s and s.only(v, layout.read) for s, v in zip(splits, values)]
+        splits = [s.only(v, layout.read) for s, v in zip(splits, values)]
         history, best, best_params, stale = [row], 0, params.copy(), 0
-        outputs = [v[net.root] if v else None for v in values]
+        outputs = [v[net.root] for v in values]
         for epoch in range(1, cfg.max_epochs + 1):
             lr = cfg.lr_at(epoch - 1)
             # the epoch's rows in batch order; each batch is a slice of them
@@ -423,7 +423,7 @@ def train(
             history.append(row)
             if row.train_loss < history[best].train_loss - 1e-12:
                 best, best_params, stale = epoch, params.copy(), 0
-                outputs = [v[net.root] if v else None for v in values]
+                outputs = [v[net.root] for v in values]
             else:
                 stale += 1
                 if cfg.early_stop_patience > 0 and stale >= cfg.early_stop_patience:

@@ -107,6 +107,13 @@ class TestSynth:
         bundle = json.loads((out / "components.json").read_text())
         assert [c["id"] for c in bundle["components"]] == ["f1", "f2"]
 
+    def test_no_components_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["synth", "--k", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "DataError: component_quality needs at least one entry" in err
+        assert not out.exists()
+
     def test_byte_identical_datasets(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["synth", "--seed", "7", "--n", "120", "--k", "3", "--out", str(a)]) == 0
@@ -342,6 +349,17 @@ class TestCompose:
         code = main(["compose", "dbcn", "--pool", str(path), "--data", str(bundle / "data.csv")])
         assert code == 2
         assert "component 'w2' outputs 2 columns; the labels have 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["dbcn", "bbcn", "exhaustive"])
+    def test_data_without_train_rows_is_runtime_error(self, bundle, tmp_path, capsys, mode):
+        header, *rows = (bundle / "data.csv").read_text().splitlines()
+        assert header.endswith(",split")
+        rows = [row.rsplit(",", 1)[0] + ",test" for row in rows]
+        path = tmp_path / "test-only.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        pool = str(bundle / "components.json")
+        assert main(["compose", mode, "--pool", pool, "--data", str(path)]) == 2
+        assert "ConstructionError: the data has no train rows" in capsys.readouterr().err
 
     def test_diverging_candidates_are_recorded_not_fatal(self, tmp_path, capsys):
         out = tmp_path / "b7"

@@ -86,19 +86,21 @@ class TestFrozenLinearMerge:
         data, (left, right) = _states(m, width_one)
         state, record = _fit_frozen(left, right, cn.LINEAR, data)
         assert record.history and len(record.history) == 1  # row 0 only: not trained
-        assert record.train_loss <= min(left.train_loss, right.train_loss) * (1 + RTOL)
+        best_operand = min(left.history[0].train_loss, right.history[0].train_loss)
+        assert record.train_loss <= best_operand * (1 + RTOL)
         # theta is shared by the label columns: least squares over the stacked rows
         x, y = data.inputs[data.train_idx], data.labels[data.train_idx]
         cols = [
-            np.broadcast_to(cn.evaluate(s.net, s.comps, x), y.shape).ravel() for s in (left, right)
+            np.broadcast_to(cn.evaluate(s.net, s.components, x), y.shape).ravel()
+            for s in (left, right)
         ]
         design = np.column_stack([np.ones(y.size), *cols])
         expected = np.linalg.lstsq(design, y.ravel(), rcond=None)[0]
         (mix,) = state.net.combine_nodes()
         np.testing.assert_allclose(mix.theta, expected, rtol=1e-7, atol=1e-10)
         # the reported losses are the built network's
-        assert cn.loss_l2(state.net, state.comps, data, "train") == record.train_loss
-        assert cn.loss_l2(state.net, state.comps, data, "test") == record.test_loss
+        assert cn.loss_l2(state.net, state.components, data, "train") == record.train_loss
+        assert cn.loss_l2(state.net, state.components, data, "test") == record.test_loss
 
 
 class TestFrozenSlMerge:
@@ -111,7 +113,7 @@ class TestFrozenSlMerge:
         lin_state, lin = _fit_frozen(left, right, cn.LINEAR, data)
         _, sl = _fit_frozen(left, right, cn.SL, data)
         assert len(sl.history) == 1
-        z = cn.evaluate(lin_state.net, lin_state.comps, data.inputs[data.train_idx])
+        z = cn.evaluate(lin_state.net, lin_state.components, data.inputs[data.train_idx])
         y = data.labels[data.train_idx]
         e = 2e-6 * np.abs(z) ** 3 / 6
         bound = float(np.sum(e * (2 * np.abs(z - y) + e)) / y.shape[0])
@@ -124,7 +126,7 @@ class TestOtherActivation:
         lin_state, _ = _fit_frozen(left, right, cn.LINEAR, data)
         _, tanh = _fit_frozen(left, right, cn.TANH, data)
         assert len(tanh.history) > 1  # trained
-        z = cn.evaluate(lin_state.net, lin_state.comps, data.inputs[data.train_idx])
+        z = cn.evaluate(lin_state.net, lin_state.components, data.inputs[data.train_idx])
         start = cn.residual_loss(np.tanh(z), data.labels[data.train_idx])
         assert tanh.history[0].train_loss == pytest.approx(start, rel=1e-12)
         assert tanh.train_loss <= start

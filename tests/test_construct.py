@@ -336,6 +336,43 @@ class TestOutputWidth:
             build([comps[0], comps[1], wide], data, _fast_cfg(k0=2))
 
 
+    @pytest.mark.parametrize(
+        "build, activations",
+        [(cn.exhaustive, (cn.LINEAR, cn.SL)), (cn.dbcn, (cn.TANH,))],
+        ids=["exhaustive", "dbcn-tanh"],
+    )
+    def test_width_one_components_train_on_two_labels(self, build, activations):
+        """A width-1 component broadcasts to the label width in the loss
+        and in training, so candidates over it train."""
+        spec = cn.SyntheticTaskSpec(n=120, d=3, m=2, component_quality=(0.1,), seed=8)
+        data, _ = cn.generate_synthetic(spec)
+        rng = np.random.default_rng(2)
+        pool = [cn.Component.mlp(cid, [3, 4, 1], rng) for cid in ("a", "b")]
+        cfg = _fast_cfg(k0=1, activations=activations, train_cfg=cn.TrainConfig(max_epochs=5))
+        report = build(pool, data, cfg)
+        trained = [c for s in report.steps for c in s.candidates if len(c.history) > 1]
+        assert trained and all(np.isfinite(c.train_loss) for c in trained)
+        assert not any("failed training" in note for note in report.notes)
+        assert report.to_dict()["final"]["train_loss"] == report.final_train_loss
+
+
+class TestNoTrainRows:
+    @pytest.mark.parametrize(
+        "build", [cn.dbcn, cn.bbcn, cn.exhaustive], ids=["dbcn", "bbcn", "exhaustive"]
+    )
+    def test_rejected_before_evaluation(self, task, monkeypatch, build):
+        data, comps = task
+        rows = np.arange(data.inputs.shape[0])
+        test_only = cn.Dataset(data.inputs, data.labels, rows[:0], rows)
+
+        def refuse_evaluation(*args, **kwargs):
+            raise AssertionError("evaluated a component without train rows")
+
+        monkeypatch.setattr("compnet.construct._component_state", refuse_evaluation)
+        with pytest.raises(cn.ConstructionError, match="the data has no train rows"):
+            build(comps, test_only, _fast_cfg(k0=2))
+
+
 class TestSettingsCheckedFirst:
     @pytest.mark.parametrize(
         "build, k0, message",

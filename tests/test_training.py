@@ -85,6 +85,46 @@ class TestGradients:
             num[i] = (loss_at(wp) - loss_at(wm)) / (2 * h)
         np.testing.assert_allclose(grad, num, rtol=1e-6, atol=1e-8)
 
+    def test_width_one_root_against_two_labels(self, rng):
+        """A width-1 root broadcasts to the label width, as the loss
+        broadcasts it, so its adjoint sums over the label columns; any other
+        width mismatch is an error."""
+        x = rng.normal(size=(24, 3))
+        y = rng.normal(size=(24, 2))
+        reg = {
+            "a": cn.Component.mlp("a", [3, 4, 1], rng, kind=cn.KIND_OPEN, role=cn.ROLE_AUX),
+            "b": cn.Component.mlp("b", [3, 1], rng),
+        }
+        net = cn.CompositeNetwork(
+            [
+                cn.ComponentRef("ra", "a"),
+                cn.ComponentRef("rb", "b"),
+                cn.Combine("mix", ["ra", "rb"], np.array([0.1, 0.7, -0.4])),
+                cn.Activate("out", "mix", cn.TANH),
+            ],
+            "out",
+        )
+        layout = cn.parameter_layout(net, reg)
+        grad = cn.gradients(net, reg, x, y)
+        w0 = cn.get_parameters(net, reg, layout)
+
+        def loss_at(w):
+            cn.set_parameters(net, reg, layout, w)
+            return cn.residual_loss(cn.evaluate(net, reg, x), y)
+
+        h = 1e-6
+        num = np.empty(layout.size)
+        for i in range(layout.size):
+            wp, wm = w0.copy(), w0.copy()
+            wp[i] += h
+            wm[i] -= h
+            num[i] = (loss_at(wp) - loss_at(wm)) / (2 * h)
+        np.testing.assert_allclose(grad, num, rtol=1e-6, atol=1e-8)
+        wide = cn.Component.mlp("w", [3, 2], rng, kind=cn.KIND_OPEN, role=cn.ROLE_AUX)
+        wide_net = cn.single_component_network("w")
+        with pytest.raises(cn.GradientError, match=r"\(24, 2\) != label shape \(24, 3\)"):
+            cn.gradients(wide_net, {"w": wide}, x, rng.normal(size=(24, 3)))
+
     def test_frozen_blocks_have_no_gradient_entries(self, small_task):
         data, comps = small_task
         reg = cn.registry(comps)
@@ -481,10 +521,7 @@ def _reference_result(net, reg, data, cfg, layout=None, splits=None):
         if train_loss < history[best][0] - 1e-12:
             best = i
     rows = [cn.EpochStats(i, train, test) for i, (train, test) in enumerate(history)]
-    outputs = [
-        cn.evaluate(net, reg, data.inputs[idx]) if idx.size else None
-        for idx in (data.train_idx, data.test_idx)
-    ]
+    outputs = [cn.evaluate(net, reg, data.inputs[idx]) for idx in (data.train_idx, data.test_idx)]
     return cn.TrainResult(net, reg, rows, best, outputs)
 
 
