@@ -17,15 +17,23 @@ merge) is walked once, and at each merge every candidate the variant
 policy offers is fitted and the best kept.  The algorithms differ
 only in the plan's shape and in the policy.
 
-A candidate's new mixing weights start at theta*, the closed-form
-least-squares mix of its two operand outputs on the train rows.  Over
-two frozen operands with the linear activation or the SL preset, that
-start is the candidate: nothing is trained.  Any other candidate trains
-its mixing weights (plus any newly opened component blocks) from there
-and keeps its best epoch; the already-built subtree acts as a frozen
-feature extractor.  Candidate seeds derive from a stable description
-of the candidate, so the same candidate trains identically no matter
-which search produced it.
+With the linear activation or the SL preset, a candidate is solved in
+closed form, and nothing is trained:
+
+  - over two frozen operands it is theta*, the least-squares mix of the
+    two operand outputs on the train rows;
+  - with an operand opened, when the path from each opened component's
+    last layer up to the new mix is affine (combines, linear and SL
+    nodes) and no fresh leaf is opened, it is one least-squares solve
+    for the new mix and those last layers together, on the same rows.
+    The rest of each opened component keeps its weights.
+
+Any other candidate's mixing weights start at theta* and it trains them
+(plus the blocks of the opened components) from there, keeping its best
+epoch; the already-built subtree acts as a frozen feature extractor.
+Candidate seeds derive from a stable description of the candidate, so
+the same candidate trains identically no matter which search produced
+it.
 """
 
 from __future__ import annotations
@@ -48,13 +56,12 @@ from .model import (
     Dataset,
     KIND_PRETRAINED,
     ROLE_BASE,
-    evaluate,
     loss_l2,
     registry,
     residual_loss,
     single_component_network,
 )
-from .linear import SingularGramError, build_gram, solve_theta_star
+from .linear import SingularGramError, SolverError, build_gram, solve_min_norm, solve_theta_star
 from .training import (
     EpochStats,
     Split,
@@ -64,6 +71,7 @@ from .training import (
     data_splits,
     history_row,
     parameter_layout,
+    split_values,
     train,
 )
 
@@ -107,7 +115,7 @@ class CandidateRecord:
     # row 0 is the start, rows 1.. the epochs trained; not part of the
     # report (empty when the candidate failed)
     history: list[EpochStats] = field(default_factory=list, repr=False)
-    note: str = ""  # why the mixing weights did not start at theta*
+    note: str = ""  # on the fit: the A1 fallback of theta*, or a rank-deficient solve
 
 
 @dataclass
@@ -203,7 +211,7 @@ def _metric(row: EpochStats | CandidateRecord, selection_metric: str) -> float:
 def _component_state(comp: Component, data: Dataset) -> TrainResult:
     net, comps = single_component_network(comp.id), {comp.id: comp}
     splits = data_splits(data, [{}, {}])
-    outputs = [evaluate(net, comps, s.inputs) for s in splits]
+    outputs = [split_values(net, comps, s)[net.root] for s in splits]
     row = EpochStats(0, *(residual_loss(o, s.labels) for o, s in zip(outputs, splits)))
     return TrainResult(net, comps, [row], 0, outputs)
 
@@ -213,13 +221,47 @@ def _derive_seed(base: int, key: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _closed_form(activation: Activation, opened: set[str]) -> bool:
-    """Whether a candidate is its theta* start, untrained: both operands
-    frozen, and the linear activation or the SL preset.  SL(0) = 0, SL
-    has slope 1 and curvature 0 at 0, and its third derivative never
-    exceeds 2e-6 in size, so |SL(z) - z| <= 2e-6 |z|^3 / 6: the SL
-    candidate differs from the linear one by at most that much."""
-    return not opened and activation in (LINEAR, SL)
+def _affine_terms(operand: TrainResult) -> tuple[float, dict[str, float]] | None:
+    """The operand's root as c + sum of a_c times the output of each of its
+    components c, reading the linear activation and the SL preset as the
+    identity: (c, {component id: a_c}), where a_c is the product of the
+    combine weights on the way down.  None when the way down meets another
+    activation or a component whose last layer is not linear."""
+    net, components = operand.net, operand.components
+    weight, const, coefficients = {net.root: 1.0}, 0.0, {}
+    for node in reversed(net.nodes):  # parents before children
+        w = weight.get(node.id)
+        if w is None:
+            continue
+        if isinstance(node, Combine):
+            const += w * node.theta[0]
+            for t, child in zip(node.theta[1:], node.children):
+                weight[child] = weight.get(child, 0.0) + w * t
+        elif isinstance(node, Activate):
+            if node.activation not in (LINEAR, SL):
+                return None
+            weight[node.child] = weight.get(node.child, 0.0) + w
+        elif components[node.component].layers[-1].activation == LINEAR:
+            coefficients[node.component] = coefficients.get(node.component, 0.0) + w
+        else:
+            return None
+    return const, coefficients
+
+
+def _closed_form(activation: Activation, opened: list[TrainResult], fresh: bool) -> bool:
+    """Whether a candidate is solved in closed form, untrained: the linear
+    activation or the SL preset, no fresh leaf opened, and every opened
+    operand affine from its components' last layers up (``_affine_terms``).
+    With both operands frozen the candidate is its theta* start; with one
+    or both opened it is ``_solve_opened``.  SL(0) = 0, SL has slope 1 and
+    curvature 0 at 0, and its third derivative never exceeds 2e-6 in size,
+    so |SL(z) - z| <= 2e-6 |z|^3 / 6: the solve reads SL as the identity,
+    and an SL candidate differs from the linear one by at most that much."""
+    return (
+        activation in (LINEAR, SL)
+        and not fresh
+        and all(_affine_terms(op) is not None for op in opened)
+    )
 
 
 def _theta_star(split: Split) -> np.ndarray:
@@ -238,6 +280,83 @@ def _operand_splits(left: TrainResult, right: TrainResult, data: Dataset) -> lis
     return data_splits(data, [{op.net.root: op.outputs[i] for op in (left, right)} for i in (0, 1)])
 
 
+def _solve_opened(
+    components: dict[str, Component],
+    operands: tuple[TrainResult, TrainResult],
+    opened: set[str],
+    train_split: Split,
+) -> tuple[np.ndarray, dict[str, Component], str]:
+    """Fit the new mix of ``operands`` and the last layer of every
+    component of the opened ones in one least-squares solve on the train
+    rows; the path up from those layers is affine (``_closed_form``).
+    Its columns are the constant, the frozen operand's output, and a_c Z_c
+    for each opened component c: Z_c is the input of c's last layer and
+    a_c its coefficient through its operand (``_affine_terms``), so the
+    answer for a_c Z_c is c's new last-layer weights.  The mix gets the
+    constant less the opened operands' constants, the frozen operand's
+    weight and a 1 per opened operand; each opened last layer gets a zero
+    bias.
+
+    Over m > 1 label columns the rows are stacked as in ``_theta_star``:
+    the mix is shared, a width-m last layer has a column of weights per
+    label column, and a width-1 one reaches every label column.  When an
+    opened component has width m > 1, the constant is one per label
+    column and goes to the bias of the first such component with a_c != 0
+    instead, so that per-column offsets stay reachable.
+
+    Components that share hidden units make the columns dependent; the
+    minimum-norm answer is taken, and the note gives the rank.  Returns
+    the mix's theta, the registry with fresh copies of the opened
+    components, and the note."""
+    n, m = train_split.labels.shape
+    columns, terms, shift = [], [], 0.0
+    is_open = [not opened.isdisjoint(op.components) for op in operands]
+    for op, o in zip(operands, is_open):
+        if not o:
+            columns.append(np.broadcast_to(train_split.known[op.net.root], (n, m)).reshape(-1, 1))
+            continue
+        const, coefficients = _affine_terms(op)
+        shift += const
+        for cid, a in coefficients.items():
+            trace: list = []
+            components[cid].forward(train_split.inputs, trace)
+            terms.append((cid, a, a * trace[-1][0]))  # a_c Z_c
+    widths = {cid: components[cid].layers[-1].weights.shape[1] for cid, _, _ in terms}
+    anchor = next(((cid, a) for cid, a, _ in terms if m > 1 and widths[cid] == m and a), None)
+    if anchor is None:
+        constant = np.ones((n * m, 1))
+    else:  # a_c e_j for label column j, so that the answer is the anchor's bias
+        constant = np.tile(anchor[1] * np.eye(m), (n, 1))
+    for cid, _, az in terms:
+        if widths[cid] == 1:
+            columns.append(np.repeat(az, m, axis=0))
+        else:  # row i*m + j, column u*m + k: az[i, u] when j == k
+            block = az[:, None, :, None] * np.eye(m)[None, :, None, :]
+            columns.append(block.reshape(n * m, az.shape[1] * m))
+    design = np.hstack([constant, *columns])
+    x, rank = solve_min_norm(design, train_split.labels.ravel())
+    k = constant.shape[1]
+    theta, pos = [(x[0] if anchor is None else 0.0) - shift], k
+    for o in is_open:
+        theta.append(1.0 if o else x[pos])
+        pos += 0 if o else 1
+    components = dict(components)
+    for cid, _, az in terms:
+        comp = components[cid] = components[cid].copy()
+        layer, w = comp.layers[-1], widths[cid]
+        size = az.shape[1] * w
+        layer.weights = x[pos : pos + size].reshape(az.shape[1], w)
+        layer.bias = x[:k].copy() if anchor and cid == anchor[0] else np.zeros(w)
+        pos += size
+    note = ""
+    if rank < design.shape[1]:
+        note = (
+            f"the last-layer solve is rank-deficient (rank {rank} of {design.shape[1]} "
+            "columns); the minimum-norm answer is used"
+        )
+    return np.array(theta), components, note
+
+
 def _fit(
     left: TrainResult,
     right: TrainResult,
@@ -246,24 +365,31 @@ def _fit(
     description: str,
     seed_key: str,
     opened: set[str],
+    closed: bool,
     data: Dataset,
     cfg: ConstructionConfig,
     splits: list[Split],
 ) -> tuple[TrainResult | None, CandidateRecord, str | None]:
-    """Build the candidate activation(mix(left, right)), with its mixing
-    weights at theta*, the least-squares mix of the operand outputs on the
-    train rows (the left operand passed through when A1 fails).  A
-    ``_closed_form`` candidate is that start; any other trains its mixing
-    weights plus the blocks of the ``opened`` components from it.
-    ``splits`` are the merge's ``_operand_splits``, shared by its
-    candidates.  Returns the fitted candidate (None when it failed), the
-    candidate record and the error."""
-    note = ""
-    try:
-        theta = _theta_star(splits[0])
-    except SingularGramError:
-        theta = np.array([0.0, 1.0, 0.0])
-        note = "operand outputs are linearly dependent (A1 fails); left operand passed through"
+    """Build the candidate activation(mix(left, right)), where ``opened``
+    holds the components of the opened operands and ``closed`` is
+    ``_closed_form``'s answer for the candidate.  A closed-form candidate
+    with an opened operand is its ``_solve_opened``.  Any other
+    candidate's mixing weights start at theta*, the least-squares mix of
+    the operand outputs on the train rows (the left operand passed through
+    when A1 fails); a closed-form candidate is that start, and any other
+    trains its mixing weights plus the blocks of the opened components
+    from it.  ``splits`` are the merge's ``_operand_splits``, shared by
+    its candidates.  Returns the fitted candidate (None when it failed),
+    the candidate record and the error."""
+    note, solve = "", closed and bool(opened)
+    if solve:
+        theta = np.zeros(3)  # written by the solve
+    else:
+        try:
+            theta = _theta_star(splits[0])
+        except SingularGramError:
+            theta = np.array([0.0, 1.0, 0.0])
+            note = "operand outputs are linearly dependent (A1 fails); left operand passed through"
     mix = Combine(f"mix:{next(ids)}", [left.net.root, right.net.root], theta)
     nodes = [*left.net.nodes, *right.net.nodes, mix]
     if activation.tag != "linear":
@@ -274,13 +400,17 @@ def _fit(
     layout = parameter_layout(net, comps, trainable)
     size, total = layout.size, layout.total
     try:
-        if _closed_form(activation, opened):
+        if solve:
+            mix.theta, comps, note = _solve_opened(comps, (left, right), opened, splits[0])
+            frozen = [op.net.root for op in (left, right) if opened.isdisjoint(op.components)]
+            splits = [s.only(s.known, frozen) for s in splits]
+        if closed:
             row, values = history_row(net, comps, 0, splits)
             result = TrainResult(net, comps, [row], 0, [v[net.root] for v in values])
         else:
             tcfg = replace(cfg.train_cfg, seed=_derive_seed(cfg.train_cfg.seed, seed_key))
             result = train(net, comps, data, tcfg, layout=layout, splits=splits)
-    except TrainingError as exc:
+    except (TrainingError, SolverError) as exc:
         record = CandidateRecord(description, math.inf, math.inf, size, total, note=note)
         return None, record, str(exc)
     history, row = result.history, result.history[result.best]
@@ -295,10 +425,6 @@ def _select(
     selection metric), its step record and the notes on its candidates."""
     metric = cfg.selection_metric
     trained = [(state, rec) for state, rec, err in outcomes if err is None]
-    if any(np.isnan(_metric(rec, metric)) for _, rec in trained):
-        raise ConstructionError(
-            f"{label}: selection metric {metric!r} is undefined (empty test split?)"
-        )
     if not trained:
         raise ConstructionError(f"{label}: every candidate failed training")
     state, best = min(trained, key=lambda pair: _metric(pair[1], metric))
@@ -446,14 +572,15 @@ def _execute(
                 else:
                     description = f"{act.label}({m.left.name},{m.right.name})"
                 seed_key = f"{m.seed_prefix}:{act.tag}:{lmark}{rmark}"
-                opened = {
-                    *(lstate.components if lmark == "o" else ()),
-                    *(rstate.components if rmark == "o" else ()),
-                }
-                trained = trained or not _closed_form(act, opened)
+                operands = [s for s, mark in ((lstate, lmark), (rstate, rmark)) if mark == "o"]
+                opened = {cid for state in operands for cid in state.components}
+                # a fresh leaf is offered only opened
+                closed = _closed_form(act, operands, m.left.fresh or m.right.fresh)
+                trained = trained or not closed
                 outcomes.append(
                     _fit(
-                        lstate, rstate, act, ids, description, seed_key, opened, data, cfg, splits
+                        lstate, rstate, act, ids, description, seed_key, opened, closed,
+                        data, cfg, splits,
                     )
                 )
         m.state, record, step_notes = _select(m.label, outcomes, cfg)
@@ -506,12 +633,19 @@ def _listed(pool) -> list[Component]:
     return pool
 
 
-def _ordered(pool: list[Component], data) -> tuple[list[Component], list[_Operand]]:
+def _ordered(
+    pool: list[Component], data, cfg: ConstructionConfig
+) -> tuple[list[Component], list[_Operand]]:
     """The pool in construction order, and the plan leaf of each of its
     components; each component is evaluated once, ids must be unique, and
-    each output width must be 1 or the label width."""
+    each output width must be 1 or the label width.  Data that cannot
+    score the selection metric is rejected before anything is evaluated."""
     if data.train_idx.size == 0:
         raise ConstructionError("the data has no train rows")
+    if cfg.selection_metric == "validation_loss" and data.test_idx.size == 0:
+        raise ConstructionError(
+            "selection metric 'validation_loss' is undefined (empty test split?)"
+        )
     components = registry(pool)
     labels = data.labels.shape[1]
     for c in pool:
@@ -555,7 +689,7 @@ def dbcn(
 ) -> ConstructionReport:
     """Greedy deep chain: one component per depth, then delta-pruning."""
     cfg = cfg or ConstructionConfig()
-    pool, leaves = _ordered(_listed(pool), data)
+    pool, leaves = _ordered(_listed(pool), data, cfg)
     return _pruned_chain("dbcn", pool, leaves, 1, data, cfg, allow_large)
 
 
@@ -580,7 +714,7 @@ def bbcn(
     _check_k0(cfg.k0, pool)
     if cfg.k0 == 1:
         warnings.warn("k0 = 1: balanced stage degenerates to the greedy chain")
-    pool, leaves = _ordered(pool, data)
+    pool, leaves = _ordered(pool, data, cfg)
     if any(c.role != ROLE_BASE for c in pool[: cfg.k0]):
         raise ConstructionError("first k0 pool entries must be base components")
     return _pruned_chain("bbcn", pool, leaves, cfg.k0, data, cfg, allow_large)
@@ -601,7 +735,7 @@ def exhaustive(
     cfg = cfg or ConstructionConfig()
     pool = _listed(pool)
     _check_k0(cfg.k0, pool)
-    pool, leaves = _ordered(pool, data)
+    pool, leaves = _ordered(pool, data, cfg)
     levels, chain = _tree(leaves, cfg.k0)
     merges = _postorder(levels[-1][0]) + chain
     for i, m in enumerate(merges):

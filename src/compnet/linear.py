@@ -95,6 +95,20 @@ def solve_theta_star(system: GramSystem, ridge: float = 0.0) -> np.ndarray:
     return np.linalg.solve(a, system.rhs)
 
 
+def solve_min_norm(design, target) -> tuple[np.ndarray, int]:
+    """The minimum-norm least-squares solution of design @ x = target, and
+    the design's numerical rank.
+
+    Unlike ``solve_theta_star`` it takes the design as given (no bias
+    column is prepended) and accepts dependent columns: the SVD solve
+    (``np.linalg.lstsq``, default cutoff) drops the directions below its
+    cutoff, and the rank says how many it kept.
+    """
+    design, target = _columns(design, target)
+    x, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    return x, int(rank)
+
+
 def predict(theta: np.ndarray, component_outputs) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     return theta[0] + np.asarray(component_outputs, dtype=float) @ theta[1:]

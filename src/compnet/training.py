@@ -318,6 +318,17 @@ def data_splits(data: Dataset, known: list[dict[str, np.ndarray]]) -> list[Split
     return [Split(data.inputs[i], data.labels[i], k) for i, k in pairs]
 
 
+def split_values(
+    net: CompositeNetwork, components: dict[str, Component], split: Split
+) -> dict[str, np.ndarray]:
+    """``evaluate``'s node values on ``split``, given its ``known``.  An
+    empty split computes nothing: its root's value is a (0, label width)
+    array, and its loss is nan."""
+    if split.labels.shape[0] == 0:
+        return {net.root: np.empty(split.labels.shape)}
+    return _checked_values(net, components, split.inputs, split.known)
+
+
 def history_row(
     net: CompositeNetwork,
     components: dict[str, Component],
@@ -325,11 +336,11 @@ def history_row(
     splits: list[Split],
 ) -> tuple[EpochStats, list[dict[str, np.ndarray]]]:
     """One history row: ``evaluate``'s losses on the train and test splits,
-    given each split's ``known``, and the node values behind them.  A
-    network that ``evaluate`` rejects, or a train loss that is not
-    finite, is a ``TrainingError``."""
+    given each split's ``known``, and the node values behind them
+    (``split_values``).  A network that ``evaluate`` rejects, or a train
+    loss that is not finite, is a ``TrainingError``."""
     try:
-        values = [_checked_values(net, components, s.inputs, s.known) for s in splits]
+        values = [split_values(net, components, s) for s in splits]
     except EvaluationError as exc:
         raise TrainingError(f"diverged at epoch {epoch}: {exc}") from exc
     train_loss, test_loss = (residual_loss(v[net.root], s.labels) for v, s in zip(values, splits))

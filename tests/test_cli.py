@@ -361,28 +361,71 @@ class TestCompose:
         assert main(["compose", mode, "--pool", pool, "--data", str(path)]) == 2
         assert "ConstructionError: the data has no train rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["dbcn", "bbcn", "exhaustive"])
+    def test_validation_selection_without_test_rows_is_rejected_before_fitting(
+        self, bundle, tmp_path, capsys, monkeypatch, mode
+    ):
+        header, *rows = (bundle / "data.csv").read_text().splitlines()
+        assert header.endswith(",split")
+        rows = [row.rsplit(",", 1)[0] for row in rows]  # no split column: every row trains
+        path = tmp_path / "no-split.csv"
+        path.write_text("\n".join([header.rsplit(",", 1)[0], *rows]) + "\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated or fitted before the data was checked")
+
+        monkeypatch.setattr("compnet.construct._component_state", refuse)
+        monkeypatch.setattr("compnet.construct._fit", refuse)
+        pool = str(bundle / "components.json")
+        argv = ["compose", mode, "--pool", pool, "--data", str(path), "--selection", "validation"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert (
+            "ConstructionError: selection metric 'validation_loss' is undefined "
+            "(empty test split?)" in err
+        )
+
+    def test_exhaustive_manifest_replays_bit_exactly(self, bundle, tmp_path):
+        """Opened candidates are solved, rank-deficient ones included, and
+        the solve is deterministic."""
+        rep1 = tmp_path / "x1.json"
+        code = main(
+            ["compose", "exhaustive", "--pool", str(bundle / "components.json"),
+             "--data", str(bundle / "data.csv"), "--k0", "1", "--report", str(rep1)]
+        )
+        assert code == 0
+        assert any("rank-deficient" in n for n in json.loads(rep1.read_text())["notes"])
+        rep2 = tmp_path / "x2.json"
+        assert replay_manifest(str(rep1) + ".manifest.json", rep2) == 0
+        assert rep1.read_bytes() == rep2.read_bytes()
+
     def test_diverging_candidates_are_recorded_not_fatal(self, tmp_path, capsys):
         out = tmp_path / "b7"
         assert main(["synth", "--seed", "7", "--out", str(out)]) == 0
         rep = tmp_path / "div.json"
+        # relu candidates train, and at this rate they diverge (tanh would saturate)
         code = main(
             ["compose", "exhaustive", "--pool", str(out / "components.json"),
-             "--data", str(out / "data.csv"), "--lr", "1e30", "--epochs", "20",
-             "--patience", "5", "--report", str(rep)]
+             "--data", str(out / "data.csv"), "--activations", "linear,relu",
+             "--lr", "1e30", "--epochs", "20", "--patience", "5", "--report", str(rep)]
         )
         assert code == 0
         notes = json.loads(rep.read_text())["notes"]
         diverged = [n for n in notes if "failed training: diverged" in n]
         assert any("non-finite gradient" in n for n in diverged)
 
-    @pytest.mark.parametrize("mode, trains", [("dbcn", False), ("exhaustive", True)])
+    @pytest.mark.parametrize(
+        "mode, trains", [("dbcn", False), ("exhaustive", True), ("exhaustive", False)]
+    )
     def test_note_when_training_settings_unread(self, bundle, tmp_path, mode, trains):
-        """With linear,sl over a pre-trained pool, every dbcn merge is solved
-        in closed form; exhaustive trains its opened variants."""
+        """With linear,sl over a pre-trained pool, every dbcn merge and every
+        exhaustive one, opened variants included, is solved in closed form;
+        with linear,tanh exhaustive trains its tanh variants."""
         rep = tmp_path / f"{mode}.json"
         code = main(
             ["compose", mode, "--pool", str(bundle / "components.json"),
-             "--data", str(bundle / "data.csv"), "--activations", "linear,sl",
+             "--data", str(bundle / "data.csv"),
+             "--activations", "linear,tanh" if trains else "linear,sl",
              "--epochs", "5", "--report", str(rep)]
         )
         assert code == 0

@@ -4,13 +4,16 @@ monotone chains, chains never below Theorem 1's width theta*, and
 ``train`` never ending above its start."""
 
 import itertools
+import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import compnet as cn
-from compnet.construct import _component_state, _fit, _operand_splits
+from compnet.construct import _closed_form, _component_state, _fit, _operand_splits
 
 from conftest import linear_mix_network, train_columns
 
@@ -72,7 +75,7 @@ def _states(m, extra_width_one=False):
 def _fit_frozen(left, right, activation, data):
     state, record, err = _fit(
         left, right, activation, itertools.count(1), f"{activation.label}(a,b)", "k",
-        set(), data, _cfg(), _operand_splits(left, right, data),
+        set(), _closed_form(activation, [], False), data, _cfg(), _operand_splits(left, right, data),
     )
     assert err is None
     return state, record
@@ -199,3 +202,201 @@ class TestTrainReturn:
         assert cn.loss_l2(result.net, result.components, data, "train") == row.train_loss
         if result.best == 0:
             np.testing.assert_array_equal(result.net.node("mix").theta, start)
+
+
+def _opened(state):
+    """``state`` with every component opened, as ``exhaustive``'s '^o' offers it."""
+    return replace(state, components={k: c.opened_copy() for k, c in state.components.items()})
+
+
+_IDS = itertools.count(1000)  # node ids unique across the networks built here
+
+
+def _fit_marked(left, right, marks, activation, data):
+    """The candidate activation(left^marks[0], right^marks[1]), fitted as
+    ``exhaustive`` fits it ('x' frozen, 'o' opened)."""
+    operands = [_opened(s) if mark == "o" else s for s, mark in zip((left, right), marks)]
+    opened = {cid for s, mark in zip(operands, marks) if mark == "o" for cid in s.components}
+    closed = _closed_form(activation, [s for s, mark in zip(operands, marks) if mark == "o"], False)
+    state, record, err = _fit(
+        *operands, activation, _IDS, f"{activation.label}({marks})", "k",
+        opened, closed, data, _cfg(), _operand_splits(left, right, data),
+    )
+    assert err is None
+    return state, record
+
+
+class TestOpenedSolve:
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(30, 200),
+        m=st.sampled_from([1, 2]),
+        teacher=st.sampled_from(["mlp-teacher", "sum-of-experts", "linear"]),
+        noise=st.sampled_from([0.0, 0.05]),
+        merged_left=st.booleans(),
+        width_one=st.booleans(),
+        marks=st.sampled_from(["xo", "ox", "oo"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_never_above_theta_star_start(
+        self, seed, n, m, teacher, noise, merged_left, width_one, marks
+    ):
+        """An L candidate over opened operands is one least-squares solve,
+        and its theta* start (the '^x^x' candidate over the same operands,
+        as opening copies the weights) is one point of the solve's search
+        space: Theorem 1 on what is built.  Operands are leaves or a frozen L
+        merge, with width-m or width-1 components and one or two labels."""
+        spec = cn.SyntheticTaskSpec(
+            n=n, d=4, m=m, true_function=teacher, noise_sd=noise,
+            component_quality=(0.1, 0.3, 0.5), seed=seed,
+        )
+        data, comps = cn.generate_synthetic(spec)
+        if width_one:
+            comps[2] = cn.Component.mlp("w", [4, 3, 1], np.random.default_rng(seed))
+        states = [_component_state(c, data) for c in comps]
+        left = _fit_marked(*states[:2], "xx", cn.LINEAR, data)[0] if merged_left else states[0]
+        right = states[2]
+        _, start = _fit_marked(left, right, "xx", cn.LINEAR, data)
+        state, solved = _fit_marked(left, right, marks, cn.LINEAR, data)
+        assert len(solved.history) == 1  # solved, not trained
+        assert solved.train_loss <= start.train_loss * (1 + 1e-9)
+        assert cn.loss_l2(state.net, state.components, data, "train") == solved.train_loss
+
+    @pytest.mark.parametrize(
+        "m, width_one, marks",
+        [(1, False, "oo"), (2, False, "xo"), (2, False, "oo"), (2, True, "ox")],
+        ids=["m1-oo", "m2-xo", "m2-oo", "m2-width-one-ox"],
+    )
+    def test_reaches_the_networks_least_squares_optimum(self, m, width_one, marks):
+        """The reference builds its columns from the network alone: with
+        each opened operand's mix weight at 1, the output is affine in the
+        other mix weights and in the opened last layers' weights and biases,
+        so evaluating it at each unit vector gives the columns."""
+        spec = cn.SyntheticTaskSpec(
+            n=160, d=5, m=m, true_function="mlp-teacher", noise_sd=0.02,
+            component_quality=(0.1, 0.3, 0.5), seed=11,
+        )
+        data, comps = cn.generate_synthetic(spec)
+        if width_one:
+            comps[2] = cn.Component.mlp("w", [5, 3, 1], np.random.default_rng(4))
+        states = [_component_state(c, data) for c in comps]
+        left = _fit_marked(*states[:2], "xx", cn.LINEAR, data)[0]  # a frozen L merge
+        right = states[2]
+        state, solved = _fit_marked(left, right, marks, cn.LINEAR, data)
+        net = state.net.copy()
+        comps = {k: c.copy() for k, c in state.components.items()}
+        (mix,) = [n for n in net.combine_nodes() if n.id == state.net.root]
+        # the mix's constant and each frozen operand's weight (views, set in place)
+        arrays = [(mix.theta, j) for j, mark in enumerate("x" + marks) if mark == "x"]
+        for op, mark in zip((left, right), marks):
+            if mark == "o":
+                mix.theta[1 + (op is right)] = 1.0
+                for cid in op.components:
+                    layer = comps[cid].layers[-1]
+                    arrays += [(layer.weights.reshape(-1), j) for j in range(layer.weights.size)]
+                    arrays += [(layer.bias, j) for j in range(layer.bias.size)]
+        x, y = data.inputs[data.train_idx], data.labels[data.train_idx]
+
+        def output():
+            return np.broadcast_to(cn.evaluate(net, comps, x), y.shape).ravel()
+
+        for a, j in arrays:
+            a[j] = 0.0
+        base = output()
+        columns = []
+        for a, j in arrays:
+            a[j] = 1.0
+            columns.append(output() - base)
+            a[j] = 0.0
+        design = np.column_stack(columns)
+        coef = np.linalg.lstsq(design, y.ravel() - base, rcond=None)[0]
+        optimum = float(np.sum((design @ coef + base - y.ravel()) ** 2) / y.shape[0])
+        assert solved.train_loss == pytest.approx(optimum, rel=1e-9, abs=1e-15)
+
+    def test_fitted_layers_and_mix(self):
+        """The mix keeps the frozen operand's solved weight and takes each
+        opened operand at weight 1; every opened last layer gets a zero
+        bias, and every other block keeps its bits."""
+        data, (left, right) = _states(1)
+        state, record = _fit_marked(left, right, "xo", cn.LINEAR, data)
+        (mix,) = state.net.combine_nodes()
+        assert mix.theta[2] == 1.0
+        (cid,) = right.components
+        before, after = right.components[cid], state.components[cid]
+        assert not np.any(after.layers[-1].bias)
+        for a, b in zip(before.layers[:-1], after.layers[:-1]):
+            np.testing.assert_array_equal(a.weights, b.weights)
+            np.testing.assert_array_equal(a.bias, b.bias)
+        assert state.components[next(iter(left.components))] is next(iter(left.components.values()))
+        assert record.note == ""  # two distinct components: full rank
+
+    @pytest.mark.parametrize("m, width_one", [(2, False), (2, True)], ids=["m2", "m2-width-one"])
+    def test_several_labels_are_solved_and_reload(self, m, width_one):
+        """One stacked solve over the label columns: no candidate trains,
+        and the reported losses are those of the reloaded network."""
+        spec = cn.SyntheticTaskSpec(
+            n=160, d=5, m=m, true_function="linear", noise_sd=0.02,
+            component_quality=(0.1, 0.3, 0.5), seed=12,
+        )
+        data, comps = cn.generate_synthetic(spec)
+        if width_one:
+            rng = np.random.default_rng(3)
+            comps = [cn.Component.mlp(cid, [5, 4, 1], rng) for cid in ("a", "b", "c")]
+        report = cn.exhaustive(comps, data, _cfg(k0=1))
+        assert all(len(c.history) == 1 for s in report.steps for c in s.candidates)
+        assert any("no candidate was trained" in note for note in report.notes)
+        assert "^o" in report.steps[-1].front_runner
+        d = report.to_dict()
+        net = cn.CompositeNetwork.from_dict(d["network"])
+        reg = {c["id"]: cn.Component.from_dict(c) for c in d["components"]}
+        assert cn.loss_l2(net, reg, data, "train") == report.final_train_loss
+        assert cn.loss_l2(net, reg, data, "test") == report.final_test_loss
+
+    def test_per_column_offsets_reach_the_bias(self):
+        """Labels with opposite offsets per column: a width-m opened
+        component takes them in its bias, as the mix has one constant."""
+        spec = cn.SyntheticTaskSpec(
+            n=160, d=5, m=2, true_function="linear", component_quality=(0.1, 0.3), seed=4
+        )
+        data, comps = cn.generate_synthetic(spec)
+        data.labels += np.array([5.0, -5.0])
+        states = [_component_state(c, data) for c in comps]
+        _, start = _fit_frozen(*states, cn.LINEAR, data)
+        state, solved = _fit_marked(*states, "xo", cn.LINEAR, data)
+        assert solved.train_loss <= start.train_loss
+        np.testing.assert_allclose(state.components["f2"].layers[-1].bias, [5.0, -5.0], atol=0.5)
+
+    def test_rank_deficient_pool_is_deterministic(self):
+        """Every mlp-teacher component carries the teacher's hidden units,
+        so solves over two opened components lose rank; the minimum-norm
+        answer is taken, the note gives the rank, and runs agree bit for bit."""
+        data, comps = _criterion_7_task(1003)
+        cfg = _cfg(k0=1)
+        first, second = (cn.exhaustive(comps, data, cfg).to_dict() for _ in range(2))
+        assert json.dumps(first) == json.dumps(second)
+        ranks = [
+            re.search(r"rank-deficient \(rank (\d+) of (\d+) columns\)", note)
+            for note in first["notes"]
+        ]
+        ranks = [(int(r[1]), int(r[2])) for r in ranks if r]
+        assert ranks and all(rank < cols for rank, cols in ranks)
+
+    def test_fresh_leaf_and_tanh_candidates_still_train(self):
+        data, comps = _criterion_7_task(1000)
+        fresh = cn.Component.mlp(
+            "fresh", [5, 4, 1], np.random.default_rng(0), kind=cn.KIND_OPEN, role=cn.ROLE_AUX
+        )
+        report = cn.exhaustive([*comps[:2], fresh], data, _cfg(k0=1, activations=(cn.LINEAR, cn.TANH)))
+        candidates = {c.description: c for s in report.steps for c in s.candidates}
+        assert len(candidates["L(g1^x,fresh^o)"].history) > 1
+        assert all(len(c.history) > 1 for d, c in candidates.items() if d.startswith("Tanh"))
+        assert len(candidates["L(f1^o,f2^o)"].history) == 1
+
+    def test_non_affine_paths_are_not_solved(self):
+        data, (left, right) = _states(1)
+        tanh_merge, _ = _fit_frozen(left, right, cn.TANH, data)
+        assert not _closed_form(cn.LINEAR, [_opened(tanh_merge)], False)
+        assert _closed_form(cn.SL, [_opened(left)], False)
+        assert not _closed_form(cn.LINEAR, [_opened(left)], True)  # a fresh leaf
+        tanh_out = cn.Component.mlp("t", [5, 3, 1], np.random.default_rng(1), output_activation=cn.TANH)
+        assert not _closed_form(cn.LINEAR, [_opened(_component_state(tanh_out, data))], False)

@@ -107,7 +107,7 @@ class TestDbcn:
         report = cn.dbcn(pool, data, cfg)
         import itertools
 
-        from compnet.construct import _component_state, _fit, _operand_splits
+        from compnet.construct import _closed_form, _component_state, _fit, _operand_splits
 
         ids = itertools.count(1)
         state = _component_state(pool[0], data)
@@ -124,6 +124,7 @@ class TestDbcn:
                     description=f"{act.label}({state.name},{comp.id})",
                     seed_key=f"merge{j - 2}:{act.tag}:xx",
                     opened=set(),
+                    closed=_closed_form(act, [], False),
                     data=data,
                     cfg=cfg,
                     splits=_operand_splits(state, right, data),
@@ -293,7 +294,8 @@ class TestExhaustive:
 
         monkeypatch.setattr(construct, "parameter_layout", counting_layout)
         monkeypatch.setattr(cn.training, "parameter_layout", counting_layout)
-        report = cn.exhaustive(comps[:3], data, _fast_cfg(k0=1))
+        cfg = _fast_cfg(k0=1, activations=(cn.LINEAR, cn.TANH))  # tanh candidates train
+        report = cn.exhaustive(comps[:3], data, cfg)
         candidates = sum(len(s.candidates) for s in report.steps)
         assert any(c.history[1:] for s in report.steps for c in s.candidates)  # some trained
         assert len(calls) == candidates == 16
@@ -338,7 +340,7 @@ class TestOutputWidth:
 
     @pytest.mark.parametrize(
         "build, activations",
-        [(cn.exhaustive, (cn.LINEAR, cn.SL)), (cn.dbcn, (cn.TANH,))],
+        [(cn.exhaustive, (cn.LINEAR, cn.TANH)), (cn.dbcn, (cn.TANH,))],
         ids=["exhaustive", "dbcn-tanh"],
     )
     def test_width_one_components_train_on_two_labels(self, build, activations):

@@ -631,7 +631,8 @@ class TestCompiledStep:
     def test_exhaustive_reports_match_reference_trainer(self, small_task, monkeypatch, k0):
         data, comps = small_task
         tcfg = cn.TrainConfig(max_epochs=6, early_stop_patience=2, seed=3)
-        cfg = cn.ConstructionConfig(k0=k0, train_cfg=tcfg)
+        # tanh candidates train; linear ones over opened operands are solved
+        cfg = cn.ConstructionConfig(k0=k0, activations=(cn.LINEAR, cn.TANH), train_cfg=tcfg)
         expected = cn.exhaustive(comps, data, cfg).to_dict()
         monkeypatch.setattr("compnet.construct.train", _reference_result)
         assert cn.exhaustive(comps, data, cfg).to_dict() == expected
@@ -691,3 +692,27 @@ class TestCompiledStep:
             x += 1.0
         after = _arrays(net, reg) + _arrays(b.net, b.components)
         assert all(np.array_equal(u, v) for u, v in zip(before, after))
+
+
+class TestEmptySplit:
+    def test_zero_rows_are_never_evaluated(self, small_task, monkeypatch):
+        """With no test rows, no history row and no pool leaf evaluates the
+        test split; its losses stay nan."""
+        data, comps = small_task
+        every_row_trains = cn.Dataset(data.inputs, data.labels, np.arange(data.n))
+        rows = []
+        original = cn.model.node_values
+
+        def counting(net, components, inputs, *args, **kwargs):
+            rows.append(len(inputs))
+            return original(net, components, inputs, *args, **kwargs)
+
+        monkeypatch.setattr(cn.model, "node_values", counting)
+        monkeypatch.setattr(cn.training, "node_values", counting)
+        tcfg = cn.TrainConfig(max_epochs=4, early_stop_patience=2, seed=1)
+        cfg = cn.ConstructionConfig(activations=(cn.LINEAR, cn.TANH), train_cfg=tcfg)
+        report = cn.dbcn(comps, every_row_trains, cfg)
+        assert any(len(c.history) > 1 for s in report.steps for c in s.candidates)  # some trained
+        assert rows and rows.count(0) == 0
+        assert all(np.isnan(r.test_loss) for s in report.steps for c in s.candidates for r in c.history)
+        assert np.isnan(report.final_test_loss)
