@@ -72,13 +72,31 @@ def _states(m, extra_width_one=False):
     return data, [_component_state(c, data) for c in comps]
 
 
-def _fit_frozen(left, right, activation, data):
+def _opened(state):
+    """``state`` with every component opened, as ``exhaustive``'s '^o' offers it."""
+    return replace(state, components={k: c.opened_copy() for k, c in state.components.items()})
+
+
+_IDS = itertools.count(1000)  # node ids unique across the networks built here
+
+
+def _fit_marked(left, right, marks, activation, data):
+    """The candidate activation(left^marks[0], right^marks[1]), fitted as
+    ``exhaustive`` fits it ('x' frozen, 'o' opened)."""
+    operands = [_opened(s) if mark == "o" else s for s, mark in zip((left, right), marks)]
+    opened_operands = [s for s, mark in zip(operands, marks) if mark == "o"]
+    opened = {cid for s in opened_operands for cid in s.components}
+    closed = _closed_form(activation, opened_operands, False)
     state, record, err = _fit(
-        left, right, activation, itertools.count(1), f"{activation.label}(a,b)", "k",
-        set(), _closed_form(activation, [], False), data, _cfg(), _operand_splits(left, right, data),
+        *operands, activation, _IDS, f"{activation.label}({marks})", "k",
+        opened, closed, data, _cfg(), _operand_splits(left, right, data),
     )
     assert err is None
     return state, record
+
+
+def _fit_frozen(left, right, activation, data):
+    return _fit_marked(left, right, "xx", activation, data)
 
 
 class TestFrozenLinearMerge:
@@ -202,28 +220,6 @@ class TestTrainReturn:
         assert cn.loss_l2(result.net, result.components, data, "train") == row.train_loss
         if result.best == 0:
             np.testing.assert_array_equal(result.net.node("mix").theta, start)
-
-
-def _opened(state):
-    """``state`` with every component opened, as ``exhaustive``'s '^o' offers it."""
-    return replace(state, components={k: c.opened_copy() for k, c in state.components.items()})
-
-
-_IDS = itertools.count(1000)  # node ids unique across the networks built here
-
-
-def _fit_marked(left, right, marks, activation, data):
-    """The candidate activation(left^marks[0], right^marks[1]), fitted as
-    ``exhaustive`` fits it ('x' frozen, 'o' opened)."""
-    operands = [_opened(s) if mark == "o" else s for s, mark in zip((left, right), marks)]
-    opened = {cid for s, mark in zip(operands, marks) if mark == "o" for cid in s.components}
-    closed = _closed_form(activation, [s for s, mark in zip(operands, marks) if mark == "o"], False)
-    state, record, err = _fit(
-        *operands, activation, _IDS, f"{activation.label}({marks})", "k",
-        opened, closed, data, _cfg(), _operand_splits(left, right, data),
-    )
-    assert err is None
-    return state, record
 
 
 class TestOpenedSolve:
