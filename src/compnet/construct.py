@@ -17,20 +17,20 @@ merge) is walked once, and at each merge every candidate the variant
 policy offers is fitted and the best kept.  The algorithms differ
 only in the plan's shape and in the policy.
 
-With the linear activation or the SL preset, a candidate is solved in
-closed form, and nothing is trained:
+Each candidate is fitted on one of two paths.  Solved: its activation
+is linear or the SL preset, and every operand it opens is affine from
+its components' last layers up (combines, linear and SL nodes; a fresh
+leaf never is).  Nothing is trained: over two frozen operands the
+candidate is theta*, the least-squares mix of the two operand outputs
+on the train rows; with an operand opened it is one least-squares
+solve for the new mix and the opened last layers together, on the same
+rows, and the rest of each opened component keeps its weights.  Each
+merge reads an opened operand's affine terms once, for all of its
+candidates.  Trained: any other candidate's mixing weights start at
+theta* and it trains them (plus the blocks of the opened components)
+from there, keeping its best epoch; the already-built subtree acts as
+a frozen feature extractor.
 
-  - over two frozen operands it is theta*, the least-squares mix of the
-    two operand outputs on the train rows;
-  - with an operand opened, when the path from each opened component's
-    last layer up to the new mix is affine (combines, linear and SL
-    nodes) and no fresh leaf is opened, it is one least-squares solve
-    for the new mix and those last layers together, on the same rows.
-    The rest of each opened component keeps its weights.
-
-Any other candidate's mixing weights start at theta* and it trains them
-(plus the blocks of the opened components) from there, keeping its best
-epoch; the already-built subtree acts as a frozen feature extractor.
 Candidate seeds derive from a stable description of the candidate, so
 the same candidate trains identically no matter which search produced
 it.
@@ -54,6 +54,7 @@ from .model import (
     Component,
     CompositeNetwork,
     Dataset,
+    EvaluationError,
     KIND_PRETRAINED,
     ROLE_BASE,
     loss_l2,
@@ -61,7 +62,7 @@ from .model import (
     residual_loss,
     single_component_network,
 )
-from .linear import SingularGramError, SolverError, build_gram, solve_min_norm, solve_theta_star
+from .linear import SingularGramError, build_gram, solve_min_norm, solve_theta_star
 from .training import (
     EpochStats,
     Split,
@@ -69,7 +70,6 @@ from .training import (
     TrainResult,
     TrainingError,
     data_splits,
-    history_row,
     parameter_layout,
     split_values,
     train,
@@ -179,17 +179,18 @@ class ConstructionReport:
 # -- ordering --------------------------------------------------------------
 
 
+def _group(comp: Component) -> tuple[int, int]:
+    """Pre-trained first, then base before auxiliary."""
+    return (0 if comp.kind == KIND_PRETRAINED else 1, 0 if comp.role == ROLE_BASE else 1)
+
+
 def order_components(pool, losses: dict[str, float]) -> list[Component]:
-    """Stable sort: pre-trained first, then base before auxiliary, then
-    ascending loss; entries without a loss sort last within their group."""
+    """Stable sort by ``_group``, then ascending loss; entries without a
+    loss sort last within their group."""
 
     def key(comp: Component):
         loss = losses.get(comp.id)
-        return (
-            0 if comp.kind == KIND_PRETRAINED else 1,
-            0 if comp.role == ROLE_BASE else 1,
-            float("inf") if loss is None else float(loss),
-        )
+        return (*_group(comp), float("inf") if loss is None else float(loss))
 
     return sorted(pool, key=key)
 
@@ -201,19 +202,27 @@ def component_loss(comp: Component, data: Dataset, split: str = "train") -> floa
 
 # -- fitted networks -------------------------------------------------------
 # A pool leaf, a candidate and a merge's winner are each a ``TrainResult``;
-# a leaf's and a closed-form candidate's history is row 0 alone.
+# a leaf's and a solved candidate's history is row 0 alone.
+
+_Opened = dict[str, tuple[float, dict[str, float]] | None]  # by root: ``_affine_terms``
+_Fit = tuple[np.ndarray, dict[str, Component], str, int]  # theta, registry, note, size
 
 
 def _metric(row: EpochStats | CandidateRecord, selection_metric: str) -> float:
     return row.train_loss if selection_metric == "train_loss" else row.test_loss
 
 
-def _component_state(comp: Component, data: Dataset) -> TrainResult:
-    net, comps = single_component_network(comp.id), {comp.id: comp}
-    splits = data_splits(data, [{}, {}])
-    outputs = [split_values(net, comps, s)[net.root] for s in splits]
+def _row_zero(net: CompositeNetwork, components: dict[str, Component], splits) -> TrainResult:
+    """``net`` as it stands, fitted without training: its history is row 0
+    alone, with ``evaluate``'s losses on the train and test ``splits``."""
+    outputs = [split_values(net, components, s)[net.root] for s in splits]
     row = EpochStats(0, *(residual_loss(o, s.labels) for o, s in zip(outputs, splits)))
-    return TrainResult(net, comps, [row], 0, outputs)
+    return TrainResult(net, components, [row], 0, outputs)
+
+
+def _component_state(comp: Component, data: Dataset) -> TrainResult:
+    net = single_component_network(comp.id)
+    return _row_zero(net, {comp.id: comp}, data_splits(data, [{}, {}]))
 
 
 def _derive_seed(base: int, key: str) -> int:
@@ -223,10 +232,13 @@ def _derive_seed(base: int, key: str) -> int:
 
 def _affine_terms(operand: TrainResult) -> tuple[float, dict[str, float]] | None:
     """The operand's root as c + sum of a_c times the output of each of its
-    components c, reading the linear activation and the SL preset as the
-    identity: (c, {component id: a_c}), where a_c is the product of the
-    combine weights on the way down.  None when the way down meets another
-    activation or a component whose last layer is not linear."""
+    components c: (c, {component id: a_c}), where a_c is the product of the
+    combine weights on the way down.  None when the way down meets an
+    activation other than the linear one and the SL preset, or a component
+    whose last layer is not linear.  SL(0) = 0, SL has slope 1 and
+    curvature 0 at 0, and its third derivative never exceeds 2e-6 in size,
+    so |SL(z) - z| <= 2e-6 |z|^3 / 6: the solve reads SL as the identity,
+    and an SL candidate differs from the linear one by at most that much."""
     net, components = operand.net, operand.components
     weight, const, coefficients = {net.root: 1.0}, 0.0, {}
     for node in reversed(net.nodes):  # parents before children
@@ -248,30 +260,20 @@ def _affine_terms(operand: TrainResult) -> tuple[float, dict[str, float]] | None
     return const, coefficients
 
 
-def _closed_form(activation: Activation, opened: list[TrainResult], fresh: bool) -> bool:
-    """Whether a candidate is solved in closed form, untrained: the linear
-    activation or the SL preset, no fresh leaf opened, and every opened
-    operand affine from its components' last layers up (``_affine_terms``).
-    With both operands frozen the candidate is its theta* start; with one
-    or both opened it is ``_solve_opened``.  SL(0) = 0, SL has slope 1 and
-    curvature 0 at 0, and its third derivative never exceeds 2e-6 in size,
-    so |SL(z) - z| <= 2e-6 |z|^3 / 6: the solve reads SL as the identity,
-    and an SL candidate differs from the linear one by at most that much."""
-    return (
-        activation in (LINEAR, SL)
-        and not fresh
-        and all(_affine_terms(op) is not None for op in opened)
-    )
-
-
-def _theta_star(split: Split) -> np.ndarray:
-    """The least-squares mix of the operand outputs that ``split`` knows.
-    One theta is shared by every label column, so it is solved over the
-    stacked rows; a width-1 output broadcasts to the label width, as
-    ``Combine`` broadcasts it."""
-    shape = split.labels.shape
-    cols = [np.broadcast_to(out, shape).ravel() for out in split.known.values()]
-    return solve_theta_star(build_gram(np.column_stack(cols), split.labels.ravel()))
+def _theta_star(left: TrainResult, right: TrainResult, opened: _Opened, split: Split) -> _Fit:
+    """theta*, the least-squares mix of the operand outputs that ``split``
+    knows, or the left operand passed through when A1 fails.  One theta is
+    shared by every label column, so it is solved over the stacked rows; a
+    width-1 output broadcasts to the label width, as ``Combine`` broadcasts
+    it.  Returns theta, the operands' registry, the note and theta's size."""
+    cols = [np.broadcast_to(out, split.labels.shape).ravel() for out in split.known.values()]
+    try:
+        theta = solve_theta_star(build_gram(np.column_stack(cols), split.labels.ravel()))
+        note = ""
+    except SingularGramError:
+        theta = np.array([0.0, 1.0, 0.0])
+        note = "operand outputs are linearly dependent (A1 fails); left operand passed through"
+    return theta, {**left.components, **right.components}, note, theta.size
 
 
 def _operand_splits(left: TrainResult, right: TrainResult, data: Dataset) -> list[Split]:
@@ -280,18 +282,12 @@ def _operand_splits(left: TrainResult, right: TrainResult, data: Dataset) -> lis
     return data_splits(data, [{op.net.root: op.outputs[i] for op in (left, right)} for i in (0, 1)])
 
 
-def _solve_opened(
-    components: dict[str, Component],
-    operands: tuple[TrainResult, TrainResult],
-    opened: set[str],
-    train_split: Split,
-) -> tuple[np.ndarray, dict[str, Component], str]:
-    """Fit the new mix of ``operands`` and the last layer of every
-    component of the opened ones in one least-squares solve on the train
-    rows; the path up from those layers is affine (``_closed_form``).
-    Its columns are the constant, the frozen operand's output, and a_c Z_c
-    for each opened component c: Z_c is the input of c's last layer and
-    a_c its coefficient through its operand (``_affine_terms``), so the
+def _solve_opened(left: TrainResult, right: TrainResult, opened: _Opened, split: Split) -> _Fit:
+    """Fit the new mix of ``left`` and ``right`` and the last layer of
+    every component of the opened ones in one least-squares solve on the
+    train rows ``split``.  Its columns are the constant, the frozen
+    operand's output, and a_c Z_c for each opened component c: Z_c is the
+    input of c's last layer and a_c its coefficient in ``opened``, so the
     answer for a_c Z_c is c's new last-layer weights.  The mix gets the
     constant less the opened operands' constants, the frozen operand's
     weight and a 1 per opened operand; each opened last layer gets a zero
@@ -307,19 +303,19 @@ def _solve_opened(
     Components that share hidden units make the columns dependent; the
     minimum-norm answer is taken, and the note gives the rank.  Returns
     the mix's theta, the registry with fresh copies of the opened
-    components, and the note."""
-    n, m = train_split.labels.shape
+    components, the note and the number of columns."""
+    n, m = split.labels.shape
+    components = {**left.components, **right.components}
     columns, terms, shift = [], [], 0.0
-    is_open = [not opened.isdisjoint(op.components) for op in operands]
-    for op, o in zip(operands, is_open):
-        if not o:
-            columns.append(np.broadcast_to(train_split.known[op.net.root], (n, m)).reshape(-1, 1))
+    for op in (left, right):
+        if op.net.root not in opened:
+            columns.append(np.broadcast_to(split.known[op.net.root], (n, m)).reshape(-1, 1))
             continue
-        const, coefficients = _affine_terms(op)
+        const, coefficients = opened[op.net.root]
         shift += const
         for cid, a in coefficients.items():
             trace: list = []
-            components[cid].forward(train_split.inputs, trace)
+            components[cid].forward(split.inputs, trace)
             terms.append((cid, a, a * trace[-1][0]))  # a_c Z_c
     widths = {cid: components[cid].layers[-1].weights.shape[1] for cid, _, _ in terms}
     anchor = next(((cid, a) for cid, a, _ in terms if m > 1 and widths[cid] == m and a), None)
@@ -334,13 +330,12 @@ def _solve_opened(
             block = az[:, None, :, None] * np.eye(m)[None, :, None, :]
             columns.append(block.reshape(n * m, az.shape[1] * m))
     design = np.hstack([constant, *columns])
-    x, rank = solve_min_norm(design, train_split.labels.ravel())
+    x, rank = solve_min_norm(design, split.labels.ravel())
     k = constant.shape[1]
     theta, pos = [(x[0] if anchor is None else 0.0) - shift], k
-    for o in is_open:
-        theta.append(1.0 if o else x[pos])
-        pos += 0 if o else 1
-    components = dict(components)
+    for op in (left, right):
+        theta.append(1.0 if op.net.root in opened else x[pos])
+        pos += op.net.root not in opened
     for cid, _, az in terms:
         comp = components[cid] = components[cid].copy()
         layer, w = comp.layers[-1], widths[cid]
@@ -354,7 +349,7 @@ def _solve_opened(
             f"the last-layer solve is rank-deficient (rank {rank} of {design.shape[1]} "
             "columns); the minimum-norm answer is used"
         )
-    return np.array(theta), components, note
+    return np.array(theta), components, note, design.shape[1]
 
 
 def _fit(
@@ -364,57 +359,46 @@ def _fit(
     ids: Iterator[int],
     description: str,
     seed_key: str,
-    opened: set[str],
-    closed: bool,
+    opened: _Opened,
     data: Dataset,
     cfg: ConstructionConfig,
     splits: list[Split],
 ) -> tuple[TrainResult | None, CandidateRecord, str | None]:
     """Build the candidate activation(mix(left, right)), where ``opened``
-    holds the components of the opened operands and ``closed`` is
-    ``_closed_form``'s answer for the candidate.  A closed-form candidate
-    with an opened operand is its ``_solve_opened``.  Any other
-    candidate's mixing weights start at theta*, the least-squares mix of
-    the operand outputs on the train rows (the left operand passed through
-    when A1 fails); a closed-form candidate is that start, and any other
-    trains its mixing weights plus the blocks of the opened components
-    from it.  ``splits`` are the merge's ``_operand_splits``, shared by
-    its candidates.  Returns the fitted candidate (None when it failed),
-    the candidate record and the error."""
-    note, solve = "", closed and bool(opened)
-    if solve:
-        theta = np.zeros(3)  # written by the solve
-    else:
-        try:
-            theta = _theta_star(splits[0])
-        except SingularGramError:
-            theta = np.array([0.0, 1.0, 0.0])
-            note = "operand outputs are linearly dependent (A1 fails); left operand passed through"
+    holds the ``_affine_terms`` of each opened operand, and fit it on one
+    of two paths.  Solved: the linear activation or the SL preset, with
+    every opened operand affine; nothing trains, and the candidate is
+    theta* (``_theta_star``) over two frozen operands, ``_solve_opened``
+    otherwise.  Trained: any other candidate's mixing weights start at
+    theta*, and it trains them plus the blocks of the opened components.
+    ``splits`` are the merge's ``_operand_splits``.  Returns the fitted
+    candidate (None when it failed), its record and the error."""
+    solved = activation in (LINEAR, SL) and None not in opened.values()
+    fit = _solve_opened if solved and opened else _theta_star
+    theta, comps, note, size = fit(left, right, opened, splits[0])
     mix = Combine(f"mix:{next(ids)}", [left.net.root, right.net.root], theta)
     nodes = [*left.net.nodes, *right.net.nodes, mix]
     if activation.tag != "linear":
         nodes.append(Activate(f"act:{next(ids)}", mix.id, activation))
     net = CompositeNetwork(nodes, nodes[-1].id)
-    comps = {**left.components, **right.components}
-    trainable = {mix.id} | {ref.id for ref in net.ref_nodes() if ref.component in opened}
-    layout = parameter_layout(net, comps, trainable)
-    size, total = layout.size, layout.total
+    refs = [r.id for op in (left, right) if op.net.root in opened for r in op.net.ref_nodes()]
+    layout = parameter_layout(net, comps, {mix.id, *refs})  # the mix and the opened blocks
+    frozen = [op.net.root for op in (left, right) if op.net.root not in opened]
+    splits = [s.only(s.known, frozen) for s in splits]
     try:
-        if solve:
-            mix.theta, comps, note = _solve_opened(comps, (left, right), opened, splits[0])
-            frozen = [op.net.root for op in (left, right) if opened.isdisjoint(op.components)]
-            splits = [s.only(s.known, frozen) for s in splits]
-        if closed:
-            row, values = history_row(net, comps, 0, splits)
-            result = TrainResult(net, comps, [row], 0, [v[net.root] for v in values])
+        if solved:
+            result = _row_zero(net, comps, splits)
         else:
+            size = layout.size
             tcfg = replace(cfg.train_cfg, seed=_derive_seed(cfg.train_cfg.seed, seed_key))
             result = train(net, comps, data, tcfg, layout=layout, splits=splits)
-    except (TrainingError, SolverError) as exc:
-        record = CandidateRecord(description, math.inf, math.inf, size, total, note=note)
+    except (TrainingError, EvaluationError) as exc:
+        record = CandidateRecord(description, math.inf, math.inf, size, layout.total, note=note)
         return None, record, str(exc)
-    history, row = result.history, result.history[result.best]
-    record = CandidateRecord(description, row.train_loss, row.test_loss, size, total, history, note)
+    row = result.history[result.best]
+    record = CandidateRecord(
+        description, row.train_loss, row.test_loss, size, layout.total, result.history, note
+    )
     return result, record, None
 
 
@@ -532,6 +516,18 @@ def _marks(operand: _Operand, open_all: bool) -> str:
     return "xo" if open_all else "x"
 
 
+def _open(operand: _Operand) -> tuple[TrainResult, _Opened]:
+    """``operand`` opened for training, and its ``_affine_terms`` by its
+    root: read once per merge, for every candidate that opens it.  A
+    fresh leaf's component is open already, and its hidden layers are
+    untrained, so it is not solved: its terms are None."""
+    if operand.fresh:
+        return operand.state, {operand.state.net.root: None}
+    comps = {cid: comp.opened_copy() for cid, comp in operand.state.components.items()}
+    state = replace(operand.state, components=comps)
+    return state, {state.net.root: _affine_terms(state)}
+
+
 def _execute(
     merges: list[_Operand],
     data: Dataset,
@@ -556,33 +552,27 @@ def _execute(
     notes: list[str] = []
     trained = False
     for m in merges:
-        variants = []  # per operand: (mark, state) for each mark the policy offers
+        forms = []  # per operand, per mark offered: (mark, state, its part of ``opened``)
         for op in (m.left, m.right):
-            marks, open_state = _marks(op, open_all), op.state
-            if "o" in marks and not op.fresh:  # a fresh leaf's component is open already
-                comps = {cid: comp.opened_copy() for cid, comp in op.state.components.items()}
-                open_state = replace(op.state, components=comps)
-            variants.append([(mark, op.state if mark == "x" else open_state) for mark in marks])
+            marks = _marks(op, open_all)
+            opened = _open(op) if "o" in marks else None
+            forms.append([("x", op.state, {}) if mark == "x" else ("o", *opened) for mark in marks])
         splits = _operand_splits(m.left.state, m.right.state, data)
         outcomes = []
         for act in cfg.activations:
-            for (lmark, lstate), (rmark, rstate) in itertools.product(*variants):
+            for (lmark, lstate, lopen), (rmark, rstate, ropen) in itertools.product(*forms):
                 if open_all:
                     description = f"{act.label}({m.left.name}^{lmark},{m.right.name}^{rmark})"
                 else:
                     description = f"{act.label}({m.left.name},{m.right.name})"
                 seed_key = f"{m.seed_prefix}:{act.tag}:{lmark}{rmark}"
-                operands = [s for s, mark in ((lstate, lmark), (rstate, rmark)) if mark == "o"]
-                opened = {cid for state in operands for cid in state.components}
-                # a fresh leaf is offered only opened
-                closed = _closed_form(act, operands, m.left.fresh or m.right.fresh)
-                trained = trained or not closed
                 outcomes.append(
                     _fit(
-                        lstate, rstate, act, ids, description, seed_key, opened, closed,
+                        lstate, rstate, act, ids, description, seed_key, {**lopen, **ropen},
                         data, cfg, splits,
                     )
                 )
+                trained = trained or len(outcomes[-1][1].history) != 1  # 1: solved
         m.state, record, step_notes = _select(m.label, outcomes, cfg)
         m.left.state.outputs.clear()  # nothing reads them after the merge
         m.right.state.outputs.clear()
@@ -634,12 +624,14 @@ def _listed(pool) -> list[Component]:
 
 
 def _ordered(
-    pool: list[Component], data, cfg: ConstructionConfig
+    pool: list[Component], data, cfg: ConstructionConfig, base: int
 ) -> tuple[list[Component], list[_Operand]]:
     """The pool in construction order, and the plan leaf of each of its
-    components; each component is evaluated once, ids must be unique, and
-    each output width must be 1 or the label width.  Data that cannot
-    score the selection metric is rejected before anything is evaluated."""
+    components; each component is evaluated once, ids must be unique, each
+    output width must be 1 or the label width, and the first ``base``
+    entries must be base components.  An invalid pool, and data that
+    cannot score the selection metric, are rejected before anything is
+    evaluated: ``_group`` alone fixes the roles of the first entries."""
     if data.train_idx.size == 0:
         raise ConstructionError("the data has no train rows")
     if cfg.selection_metric == "validation_loss" and data.test_idx.size == 0:
@@ -654,6 +646,8 @@ def _ordered(
             raise ConstructionError(
                 f"component {c.id!r} outputs {width} columns; the labels have {labels}"
             )
+    if any(c.role != ROLE_BASE for c in sorted(pool, key=_group)[:base]):
+        raise ConstructionError("first k0 pool entries must be base components")
     states = {cid: _component_state(c, data) for cid, c in components.items()}
     losses = {c.id: states[c.id].history[0].train_loss for c in pool if c.kind == KIND_PRETRAINED}
     pool = order_components(pool, losses)
@@ -689,7 +683,7 @@ def dbcn(
 ) -> ConstructionReport:
     """Greedy deep chain: one component per depth, then delta-pruning."""
     cfg = cfg or ConstructionConfig()
-    pool, leaves = _ordered(_listed(pool), data, cfg)
+    pool, leaves = _ordered(_listed(pool), data, cfg, 0)
     return _pruned_chain("dbcn", pool, leaves, 1, data, cfg, allow_large)
 
 
@@ -714,9 +708,7 @@ def bbcn(
     _check_k0(cfg.k0, pool)
     if cfg.k0 == 1:
         warnings.warn("k0 = 1: balanced stage degenerates to the greedy chain")
-    pool, leaves = _ordered(pool, data, cfg)
-    if any(c.role != ROLE_BASE for c in pool[: cfg.k0]):
-        raise ConstructionError("first k0 pool entries must be base components")
+    pool, leaves = _ordered(pool, data, cfg, cfg.k0)
     return _pruned_chain("bbcn", pool, leaves, cfg.k0, data, cfg, allow_large)
 
 
@@ -735,7 +727,7 @@ def exhaustive(
     cfg = cfg or ConstructionConfig()
     pool = _listed(pool)
     _check_k0(cfg.k0, pool)
-    pool, leaves = _ordered(pool, data, cfg)
+    pool, leaves = _ordered(pool, data, cfg, 0)
     levels, chain = _tree(leaves, cfg.k0)
     merges = _postorder(levels[-1][0]) + chain
     for i, m in enumerate(merges):

@@ -385,6 +385,26 @@ class TestCompose:
             "(empty test split?)" in err
         )
 
+    def test_bbcn_non_base_head_is_rejected_before_evaluation(
+        self, bundle, tmp_path, capsys, monkeypatch
+    ):
+        """The first k0 entries' roles follow from kind and role alone, so
+        an auxiliary component among them is rejected before any loss."""
+        pool = json.loads((bundle / "components.json").read_text())
+        pool["components"][0]["role"] = "auxiliary"
+        path = tmp_path / "aux.json"
+        path.write_text(json.dumps(pool))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated or fitted before the pool was checked")
+
+        monkeypatch.setattr("compnet.construct._component_state", refuse)
+        monkeypatch.setattr("compnet.construct._fit", refuse)
+        argv = ["compose", "bbcn", "--k0", "3", "--pool", str(path), "--data", str(bundle / "data.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "ConstructionError: first k0 pool entries must be base components" in err
+
     def test_exhaustive_manifest_replays_bit_exactly(self, bundle, tmp_path):
         """Opened candidates are solved, rank-deficient ones included, and
         the solve is deterministic."""

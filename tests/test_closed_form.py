@@ -6,14 +6,13 @@ monotone chains, chains never below Theorem 1's width theta*, and
 import itertools
 import json
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import compnet as cn
-from compnet.construct import _closed_form, _component_state, _fit, _operand_splits
+from compnet.construct import _Operand, _component_state, _fit, _open, _operand_splits
 
 from conftest import linear_mix_network, train_columns
 
@@ -72,24 +71,22 @@ def _states(m, extra_width_one=False):
     return data, [_component_state(c, data) for c in comps]
 
 
-def _opened(state):
-    """``state`` with every component opened, as ``exhaustive``'s '^o' offers it."""
-    return replace(state, components={k: c.opened_copy() for k, c in state.components.items()})
-
-
 _IDS = itertools.count(1000)  # node ids unique across the networks built here
 
 
-def _fit_marked(left, right, marks, activation, data):
+def _fit_marked(left, right, marks, activation, data, fresh=False):
     """The candidate activation(left^marks[0], right^marks[1]), fitted as
-    ``exhaustive`` fits it ('x' frozen, 'o' opened)."""
-    operands = [_opened(s) if mark == "o" else s for s, mark in zip((left, right), marks)]
-    opened_operands = [s for s, mark in zip(operands, marks) if mark == "o"]
-    opened = {cid for s in opened_operands for cid in s.components}
-    closed = _closed_form(activation, opened_operands, False)
+    ``exhaustive`` fits it ('x' frozen, 'o' opened; ``fresh``: an opened
+    operand is a leaf holding a non-instantiated component)."""
+    operands, opened = [], {}
+    for s, mark in zip((left, right), marks):
+        if mark == "o":
+            s, terms = _open(_Operand("", s, fresh=fresh))
+            opened.update(terms)
+        operands.append(s)
     state, record, err = _fit(
         *operands, activation, _IDS, f"{activation.label}({marks})", "k",
-        opened, closed, data, _cfg(), _operand_splits(left, right, data),
+        opened, data, _cfg(), _operand_splits(left, right, data),
     )
     assert err is None
     return state, record
@@ -389,10 +386,63 @@ class TestOpenedSolve:
         assert len(candidates["L(f1^o,f2^o)"].history) == 1
 
     def test_non_affine_paths_are_not_solved(self):
+        """The decision at its one place: ``_open`` reads an opened
+        operand's affine terms (None for a fresh leaf or a non-affine
+        path), and ``_fit`` solves only linear or SL candidates whose
+        opened operands all have them."""
         data, (left, right) = _states(1)
         tanh_merge, _ = _fit_frozen(left, right, cn.TANH, data)
-        assert not _closed_form(cn.LINEAR, [_opened(tanh_merge)], False)
-        assert _closed_form(cn.SL, [_opened(left)], False)
-        assert not _closed_form(cn.LINEAR, [_opened(left)], True)  # a fresh leaf
+        assert _open(_Operand("", tanh_merge))[1] == {tanh_merge.net.root: None}
+        other = _component_state(cn.Component.mlp("w", [5, 3, 1], np.random.default_rng(2)), data)
+        assert len(_fit_marked(tanh_merge, other, "ox", cn.LINEAR, data)[1].history) > 1
+        assert _open(_Operand("", left))[1][left.net.root] is not None
+        assert len(_fit_marked(left, right, "ox", cn.SL, data)[1].history) == 1
+        fresh = cn.Component.mlp(
+            "fresh", [5, 4, 1], np.random.default_rng(0), kind=cn.KIND_OPEN, role=cn.ROLE_AUX
+        )
+        fresh_state = _component_state(fresh, data)
+        assert _open(_Operand("", fresh_state, fresh=True))[1] == {fresh_state.net.root: None}
+        assert len(_fit_marked(left, fresh_state, "xo", cn.LINEAR, data, fresh=True)[1].history) > 1
         tanh_out = cn.Component.mlp("t", [5, 3, 1], np.random.default_rng(1), output_activation=cn.TANH)
-        assert not _closed_form(cn.LINEAR, [_opened(_component_state(tanh_out, data))], False)
+        tanh_state = _component_state(tanh_out, data)
+        assert _open(_Operand("", tanh_state))[1] == {tanh_state.net.root: None}
+        assert len(_fit_marked(tanh_state, right, "ox", cn.LINEAR, data)[1].history) > 1
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_solved_candidates_report_the_columns_they_fit(self, m, monkeypatch):
+        """A solved '^o' candidate's ``trainable`` is its design's width,
+        not every block it opens; a theta* candidate's is its 3 weights."""
+        widths, solve = [], cn.construct.solve_min_norm
+
+        def spy(design, target):
+            widths.append(design.shape[1])
+            return solve(design, target)
+
+        monkeypatch.setattr(cn.construct, "solve_min_norm", spy)
+        spec = cn.SyntheticTaskSpec(
+            n=160, d=5, m=m, true_function="mlp-teacher", noise_sd=0.02,
+            component_quality=(0.1, 0.3, 0.5), seed=11,
+        )
+        data, comps = cn.generate_synthetic(spec)
+        report = cn.exhaustive(comps, data, _cfg(k0=1))
+        candidates = [c for s in report.steps for c in s.candidates]
+        assert all(len(c.history) == 1 for c in candidates)  # every one solved
+        solved = [c.trainable for c in candidates if "^o" in c.description]
+        assert solved == widths and len(widths) == 12
+        assert all(c.trainable < c.total for c in candidates)
+        assert {c.trainable for c in candidates if "^o" not in c.description} == {3}
+
+    def test_one_affine_walk_per_opened_operand_per_merge(self, monkeypatch):
+        """Every candidate that opens an operand reads the terms its merge
+        read once: two operands at each of two merges."""
+        walks, walk = [], cn.construct._affine_terms
+
+        def counting(operand):
+            walks.append(operand.net.root)
+            return walk(operand)
+
+        monkeypatch.setattr(cn.construct, "_affine_terms", counting)
+        data, comps = _criterion_7_task(1000)
+        report = cn.exhaustive(comps[:3], data, _cfg(k0=1, activations=(cn.LINEAR, cn.SL)))
+        assert sum(len(s.candidates) for s in report.steps) == 16
+        assert len(walks) == len(set(walks)) == 4

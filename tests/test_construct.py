@@ -107,7 +107,7 @@ class TestDbcn:
         report = cn.dbcn(pool, data, cfg)
         import itertools
 
-        from compnet.construct import _closed_form, _component_state, _fit, _operand_splits
+        from compnet.construct import _component_state, _fit, _operand_splits
 
         ids = itertools.count(1)
         state = _component_state(pool[0], data)
@@ -123,8 +123,7 @@ class TestDbcn:
                     ids,
                     description=f"{act.label}({state.name},{comp.id})",
                     seed_key=f"merge{j - 2}:{act.tag}:xx",
-                    opened=set(),
-                    closed=_closed_form(act, [], False),
+                    opened={},
                     data=data,
                     cfg=cfg,
                     splits=_operand_splits(state, right, data),
