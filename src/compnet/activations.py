@@ -180,5 +180,10 @@ def parse_activation(token: str) -> Activation:
     if t.startswith("scaled-logistic"):
         parts = t.split(":")
         if len(parts) == 3:
-            return Activation("scaled-logistic", scale=float(parts[1]), out_range=float(parts[2]))
+            try:
+                scale, out_range = float(parts[1]), float(parts[2])
+            except ValueError:
+                pass
+            else:
+                return Activation("scaled-logistic", scale=scale, out_range=out_range)
     raise ActivationError(f"cannot parse activation token {token!r}")

@@ -34,6 +34,7 @@ from .bounds import (
 )
 from .construct import ConstructionConfig, bbcn, component_loss, dbcn, exhaustive
 from .data import (
+    DataError,
     SyntheticTaskSpec,
     generate_synthetic,
     knn_impute,
@@ -127,7 +128,6 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=1e-2)
     p.add_argument("--patience", type=int, default=30)
     p.add_argument("--schedule", choices=["balanced", "chain"], help="exhaustive merge tree")
-    p.add_argument("--allow-large", action="store_true", help="lift the candidate-count guard")
     p.add_argument("--history", help="write step{j}-cand{i}.csv training histories here")
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_compose)
@@ -257,7 +257,10 @@ def _cmd_synth(args):
     elif args.k is not None:
         raise UsageError("--k conflicts with --qualities: pass at most one of them")
     else:
-        qualities = tuple(float(tok) for tok in args.qualities.split(","))
+        try:
+            qualities = tuple(float(tok) for tok in args.qualities.split(","))
+        except ValueError as exc:
+            raise DataError(f"--qualities: {exc}") from None
     spec = SyntheticTaskSpec(
         n=args.n,
         d=args.d,
@@ -356,9 +359,7 @@ def _cmd_compose(args):
         ),
         selection_metric=selection,
     )
-    report = {"dbcn": dbcn, "bbcn": bbcn, "exhaustive": exhaustive}[args.mode](
-        comps, dataset, cfg, allow_large=args.allow_large
-    )
+    report = {"dbcn": dbcn, "bbcn": bbcn, "exhaustive": exhaustive}[args.mode](comps, dataset, cfg)
     if args.history:
         out = Path(args.history)
         out.mkdir(parents=True, exist_ok=True)

@@ -75,9 +75,6 @@ from .training import (
     train,
 )
 
-_CANDIDATE_GUARD = 2**12
-
-
 class ConstructionError(RuntimeError):
     pass
 
@@ -410,7 +407,8 @@ def _select(
     metric = cfg.selection_metric
     trained = [(state, rec) for state, rec, err in outcomes if err is None]
     if not trained:
-        raise ConstructionError(f"{label}: every candidate failed training")
+        _, rec, err = outcomes[0]
+        raise ConstructionError(f"{label}: every candidate failed training; {rec.description}: {err}")
     state, best = min(trained, key=lambda pair: _metric(pair[1], metric))
     notes = []
     for _, rec, err in outcomes:
@@ -533,20 +531,10 @@ def _execute(
     data: Dataset,
     cfg: ConstructionConfig,
     open_all: bool,
-    allow_large: bool,
 ) -> tuple[list[StepRecord], list[str]]:
     """Run a merge plan: at each merge, fit one candidate per activation
     and operand variant, and set the merge's state to the winner.  Returns
     the step records and the notes."""
-    total = len(cfg.activations) * sum(
-        len(_marks(m.left, open_all)) * len(_marks(m.right, open_all)) for m in merges
-    )
-    if total > _CANDIDATE_GUARD and not allow_large:
-        raise ConstructionError(
-            f"{total} candidates exceed the guard of {_CANDIDATE_GUARD}; "
-            "pass allow_large=True (or --allow-large) to override"
-        )
-
     ids = itertools.count(1)
     steps: list[StepRecord] = []
     notes: list[str] = []
@@ -579,7 +567,7 @@ def _execute(
         steps.append(record)
         notes.extend(step_notes)
         notes.extend(m.notes)
-    if not trained:
+    if merges and not trained:
         notes.append(
             "no candidate was trained: every merge was solved in closed form, so the "
             "training settings (epochs, batch size, learning rate, patience, seed) were not read"
@@ -616,22 +604,24 @@ def _report(
 # -- public algorithms -----------------------------------------------------
 
 
-def _listed(pool) -> list[Component]:
+def _ordered(
+    pool, data, cfg: ConstructionConfig, k0: int, base: bool
+) -> tuple[list[Component], list[_Operand]]:
+    """The pool in construction order, and the plan leaf of each of its
+    components; each component is evaluated once.  The run is checked
+    first: the pool is not empty, 1 <= k0 <= pool size (the balanced stage
+    merges the first k0 components), ids are unique, each output width is
+    1 or the label width, and with ``base`` the first k0 entries are base
+    components.  An invalid run, and data that cannot score the selection
+    metric, are rejected before anything is evaluated: ``_group`` alone
+    fixes the roles of the first entries."""
     pool = list(pool)
     if not pool:
         raise ConstructionError("component pool is empty")
-    return pool
-
-
-def _ordered(
-    pool: list[Component], data, cfg: ConstructionConfig, base: int
-) -> tuple[list[Component], list[_Operand]]:
-    """The pool in construction order, and the plan leaf of each of its
-    components; each component is evaluated once, ids must be unique, each
-    output width must be 1 or the label width, and the first ``base``
-    entries must be base components.  An invalid pool, and data that
-    cannot score the selection metric, are rejected before anything is
-    evaluated: ``_group`` alone fixes the roles of the first entries."""
+    if k0 < 1:
+        raise ConstructionError(f"k0 = {k0} is below 1")
+    if k0 > len(pool):
+        raise ConstructionError(f"k0 = {k0} exceeds pool size {len(pool)}")
     if data.train_idx.size == 0:
         raise ConstructionError("the data has no train rows")
     if cfg.selection_metric == "validation_loss" and data.test_idx.size == 0:
@@ -646,7 +636,7 @@ def _ordered(
             raise ConstructionError(
                 f"component {c.id!r} outputs {width} columns; the labels have {labels}"
             )
-    if any(c.role != ROLE_BASE for c in sorted(pool, key=_group)[:base]):
+    if base and any(c.role != ROLE_BASE for c in sorted(pool, key=_group)[:k0]):
         raise ConstructionError("first k0 pool entries must be base components")
     states = {cid: _component_state(c, data) for cid, c in components.items()}
     losses = {c.id: states[c.id].history[0].train_loss for c in pool if c.kind == KIND_PRETRAINED}
@@ -661,11 +651,10 @@ def _pruned_chain(
     k0: int,
     data: Dataset,
     cfg: ConstructionConfig,
-    allow_large: bool,
 ) -> ConstructionReport:
     """Run the dbcn/bbcn plan under the natural policy, then prune the chain."""
     merges, chain = _chain_plan(leaves, k0)
-    steps, notes = _execute(merges, data, cfg, open_all=False, allow_large=allow_large)
+    steps, notes = _execute(merges, data, cfg, open_all=False)
     metric_values = [_metric(op.state.history[op.state.best], cfg.selection_metric) for op in chain]
     keep = _prune_index(metric_values, cfg.delta)
     if keep < len(chain) - 1:
@@ -675,64 +664,37 @@ def _pruned_chain(
     return _report(algorithm, pool, chain[keep].state, keep + 1, len(chain), steps, notes, cfg)
 
 
-def dbcn(
-    pool,
-    data: Dataset,
-    cfg: ConstructionConfig | None = None,
-    allow_large: bool = False,
-) -> ConstructionReport:
+def dbcn(pool, data: Dataset, cfg: ConstructionConfig | None = None) -> ConstructionReport:
     """Greedy deep chain: one component per depth, then delta-pruning."""
     cfg = cfg or ConstructionConfig()
-    pool, leaves = _ordered(_listed(pool), data, cfg, 0)
-    return _pruned_chain("dbcn", pool, leaves, 1, data, cfg, allow_large)
+    pool, leaves = _ordered(pool, data, cfg, 1, base=False)
+    return _pruned_chain("dbcn", pool, leaves, 1, data, cfg)
 
 
-def _check_k0(k0: int, pool: list[Component]) -> None:
-    """The balanced stage merges the first k0 pool components: 1 <= k0 <= pool size."""
-    if k0 < 1:
-        raise ConstructionError(f"k0 = {k0} is below 1")
-    if k0 > len(pool):
-        raise ConstructionError(f"k0 = {k0} exceeds pool size {len(pool)}")
-
-
-def bbcn(
-    pool,
-    data: Dataset,
-    cfg: ConstructionConfig | None = None,
-    allow_large: bool = False,
-) -> ConstructionReport:
+def bbcn(pool, data: Dataset, cfg: ConstructionConfig | None = None) -> ConstructionReport:
     """Balanced pairwise merges of the first k0 (base) components, then
     the greedy chain over the remainder."""
     cfg = cfg or ConstructionConfig()
-    pool = _listed(pool)
-    _check_k0(cfg.k0, pool)
+    pool, leaves = _ordered(pool, data, cfg, cfg.k0, base=True)
     if cfg.k0 == 1:
         warnings.warn("k0 = 1: balanced stage degenerates to the greedy chain")
-    pool, leaves = _ordered(pool, data, cfg, cfg.k0)
-    return _pruned_chain("bbcn", pool, leaves, cfg.k0, data, cfg, allow_large)
+    return _pruned_chain("bbcn", pool, leaves, cfg.k0, data, cfg)
 
 
 # -- exhaustive search -----------------------------------------------------
 
 
-def exhaustive(
-    pool,
-    data: Dataset,
-    cfg: ConstructionConfig | None = None,
-    allow_large: bool = False,
-) -> ConstructionReport:
+def exhaustive(pool, data: Dataset, cfg: ConstructionConfig | None = None) -> ConstructionReport:
     """Fit every frozen/open x activation combination at each merge of
     the tree (balanced merges of the first k0 components, then the chain
     over the rest; k0 = 1 is the chain) and keep the per-merge winner."""
     cfg = cfg or ConstructionConfig()
-    pool = _listed(pool)
-    _check_k0(cfg.k0, pool)
-    pool, leaves = _ordered(pool, data, cfg, 0)
+    pool, leaves = _ordered(pool, data, cfg, cfg.k0, base=False)
     levels, chain = _tree(leaves, cfg.k0)
     merges = _postorder(levels[-1][0]) + chain
     for i, m in enumerate(merges):
         m.label, m.seed_prefix, m.name = f"merge {i + 1}", f"merge{i}", f"g{i + 1}"
-    steps, notes = _execute(merges, data, cfg, open_all=True, allow_large=allow_large)
+    steps, notes = _execute(merges, data, cfg, open_all=True)
     depth = len(merges) + 1
     final = (merges[-1] if merges else leaves[0]).state
     return _report("exhaustive", pool, final, depth, depth, steps, notes, cfg)

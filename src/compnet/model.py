@@ -188,11 +188,25 @@ class Component:
     @classmethod
     def from_dict(cls, d: dict) -> "Component":
         layers = []
-        for ld in d["layers"]:
-            w = np.asarray(ld["weights"], dtype=float).reshape(ld["shape"])
-            layers.append(AffineLayer(w, np.asarray(ld["bias"], dtype=float), Activation.from_dict(ld["activation"])))
+        for i, ld in enumerate(d["layers"]):
+            w = _finite_numbers(ld["weights"], d["id"], f"layers[{i}].weights")
+            b = _finite_numbers(ld["bias"], d["id"], f"layers[{i}].bias")
+            layers.append(AffineLayer(w.reshape(ld["shape"]), b, Activation.from_dict(ld["activation"])))
         cols = d.get("input_columns")
         return cls(d["id"], d["kind"], d["role"], layers, d["frozen"], cols)
+
+
+def _finite_numbers(value, cid, where: str) -> np.ndarray:
+    """A JSON array of numbers as floats; ``ModelError`` naming component
+    ``cid`` and the field ``where`` when it holds a ``null``, a string,
+    a boolean, a non-finite number or ragged rows."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged rows
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ModelError(f"component {cid!r}: {where} must hold finite numbers only")
+    return arr.astype(float)
 
 
 # -- composite network nodes ---------------------------------------------

@@ -1,8 +1,11 @@
 """CLI: exit codes, determinism, report/manifest plumbing."""
 
+import argparse
 import json
 import math
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,9 @@ class TestExitCodes:
     def test_unknown_flag_lists_itself(self, capsys):
         assert main(["synth", "--out", "x", "--bogus-flag"]) == 1
         assert "--bogus-flag" in capsys.readouterr().err
+        # construction has no candidate cap, so no flag lifts one
+        assert main(["compose", "dbcn", "--pool", "p.json", "--data", "d.csv", "--allow-large"]) == 1
+        assert "--allow-large" in capsys.readouterr().err
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
@@ -93,6 +99,23 @@ class TestHelp:
             for flag in flags:
                 assert flag in text, f"{name} help missing {flag}"
 
+    def test_readme_names_only_real_flags(self):
+        """Every --flag that README's "Command line" and "File formats"
+        sections name is an option of some subcommand, so a deleted flag
+        cannot live on in the docs."""
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        sections = re.findall(
+            r"^## (?:Command line|File formats)\n(.*?)(?=^## |\Z)", text, re.MULTILINE | re.DOTALL
+        )
+        assert len(sections) == 2
+        named = set(re.findall(r"--[a-z][a-z0-9-]*", "".join(sections)))
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {
+            opt for p in (parser, *sub.choices.values()) for a in p._actions for opt in a.option_strings
+        }
+        assert named and not named - options, sorted(named - options)
+
 
 class TestSynth:
     def test_qualities_set_one_component_each(self, tmp_path, capsys):
@@ -113,6 +136,29 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "DataError: component_quality needs at least one entry" in err
         assert not out.exists()
+
+    def test_unparseable_quality_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["synth", "--qualities", "0.1,x", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "DataError: --qualities: could not convert string to float: 'x'" in err
+        assert not out.exists()
+
+    def test_teacher_label_width_and_split_reach_the_bundle(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        argv = ["synth", "--teacher", "linear", "--m", "2", "--train-fraction", "0.5",
+                "--n", "40", "--d", "3", "--k", "2", "--out", str(out)]
+        assert main(argv) == 0
+        header, *rows = (out / "data.csv").read_text().splitlines()
+        assert header == "x1,x2,x3,y1,y2,split"
+        splits = [row.rsplit(",", 1)[1] for row in rows]
+        assert splits.count("train") == splits.count("test") == 20
+        bundle = json.loads((out / "components.json").read_text())
+        assert bundle["labels"] == ["y1", "y2"]
+        assert [[layer["shape"] for layer in c["layers"]] for c in bundle["components"]] == [
+            [[3, 2]], [[3, 2]]
+        ]
+        assert "true_function=linear" in (out / "task.spec").read_text()
 
     def test_byte_identical_datasets(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -235,8 +281,15 @@ class TestCompose:
             (["--activations", "linear,L"], "activations: label 'L' is repeated"),
             (["--activations", "sl,scaled-logistic:100:10"], "activations: label 'SL' is repeated"),
             (["--patience", "-3"], "0 turns early stopping off"),
+            (
+                ["--activations", "scaled-logistic:x:1"],
+                "ActivationError: cannot parse activation token 'scaled-logistic:x:1'",
+            ),
+            # tanh candidates train, and a batch beyond the 112 train rows fails each
+            (["--activations", "tanh", "--batch", "500"], "batch_size 500 exceeds 112 training rows"),
         ],
-        ids=["same-activation", "same-label", "negative-patience"],
+        ids=["same-activation", "same-label", "negative-patience", "unparseable-activation",
+             "batch-above-train-rows"],
     )
     def test_bad_training_setting_is_runtime_error(self, bundle, capsys, flags, message):
         code = main(
@@ -384,6 +437,28 @@ class TestCompose:
             "ConstructionError: selection metric 'validation_loss' is undefined "
             "(empty test split?)" in err
         )
+
+    @pytest.mark.parametrize(
+        "field, value", [("weights", None), ("weights", float("nan")), ("bias", "x")],
+        ids=["null-weight", "nan-weight", "string-bias"],
+    )
+    def test_non_numeric_weights_are_named_before_evaluation(
+        self, bundle, tmp_path, capsys, monkeypatch, field, value
+    ):
+        pool = json.loads((bundle / "components.json").read_text())
+        pool["components"][1]["layers"][0][field][0] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(pool))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated or fitted a malformed pool")
+
+        monkeypatch.setattr("compnet.construct._component_state", refuse)
+        monkeypatch.setattr("compnet.construct._fit", refuse)
+        argv = ["compose", "dbcn", "--pool", str(path), "--data", str(bundle / "data.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"ModelError: component 'f2': layers[0].{field} must hold finite numbers" in err
 
     def test_bbcn_non_base_head_is_rejected_before_evaluation(
         self, bundle, tmp_path, capsys, monkeypatch

@@ -1,6 +1,8 @@
 """Construction algorithms: ordering, greedy chain, balanced merges,
 exhaustive search, pruning."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -395,11 +397,13 @@ class TestSettingsCheckedFirst:
             build(comps[:3], data, _fast_cfg(k0=k0))
 
 
-class TestCandidateGuard:
+class TestNoCandidateGuard:
     @pytest.mark.parametrize(
         "build", [cn.dbcn, cn.bbcn, cn.exhaustive], ids=["dbcn", "bbcn", "exhaustive"]
     )
-    def test_candidate_guard(self, task, monkeypatch, build):
+    def test_large_pool_reaches_the_fit(self, task, monkeypatch, build):
+        """No run is refused for its candidate count: construction fits
+        the pool it is given."""
         data, _ = task
         rng = np.random.default_rng(0)
         many = [cn.Component.mlp(f"c{i}", [5, 1], rng) for i in range(822)]
@@ -415,10 +419,27 @@ class TestCandidateGuard:
 
         # closed-form candidates never call ``train``, so stub the candidate fit
         monkeypatch.setattr("compnet.construct._fit", refuse_fit)
-        with pytest.raises(cn.ConstructionError, match="guard"):
-            build(many, data, cfg)
         with pytest.raises(Fitted):
-            build(many, data, cfg, allow_large=True)
+            build(many, data, cfg)
+
+
+class TestOneComponentPool:
+    @pytest.mark.parametrize(
+        "build, k0", [(cn.dbcn, 2), (cn.bbcn, 1), (cn.exhaustive, 1)], ids=["dbcn", "bbcn", "exhaustive"]
+    )
+    def test_no_training_note_only_when_a_merge_ran(self, task, build, k0):
+        """A one-component pool merges nothing, so no note says that every
+        merge was solved; two pre-trained components under linear,sl merge
+        once, solved."""
+        data, comps = task
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "k0 = 1", UserWarning)
+            one = build(comps[:1], data, _fast_cfg(k0=k0))
+            two = build(comps[:2], data, _fast_cfg(k0=k0))
+        assert one.steps == [] and one.final_depth == 1
+        assert not any("no candidate was trained" in note for note in one.notes)
+        assert len(two.steps) == 1
+        assert any("no candidate was trained" in note for note in two.notes)
 
 
 class TestDeepPool:
