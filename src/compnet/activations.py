@@ -34,8 +34,10 @@ class Activation:
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise ActivationError(f"unknown activation tag {self.tag!r}")
-        if self.tag == "scaled-logistic" and (self.scale <= 0 or self.out_range <= 0):
-            raise ActivationError("scaled-logistic needs positive scale and range")
+        if self.tag == "scaled-logistic" and not (
+            0 < self.scale < np.inf and 0 < self.out_range < np.inf
+        ):
+            raise ActivationError("scaled-logistic needs finite positive scale and range")
 
     @property
     def a3_compliant(self) -> bool:

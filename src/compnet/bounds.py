@@ -18,7 +18,7 @@ bounds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -58,8 +58,8 @@ class TrialSpec:
             raise ValueError("k must be non-negative")
         if self.trials < 100:
             raise ValueError("trials must be at least 100")
-        if self.component_noise <= 0:
-            raise ValueError("component_noise must be positive")
+        if not 0 < self.component_noise < np.inf:
+            raise ValueError("component_noise must be finite and positive")
 
 
 @dataclass
@@ -73,15 +73,7 @@ class BoundReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "empirical_rate": self.empirical_rate,
-            "bound": self.bound,
-            "satisfied": self.satisfied,
-            "ci95": list(self.ci95),
-            "trials": self.trials,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _report(claim: str, successes: int, trials: int, bound: float, details: dict) -> BoundReport:

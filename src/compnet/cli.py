@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -289,15 +290,7 @@ def _cmd_synth(args):
     for cid, lv in losses.items():
         print(f"  {cid}: train RMSE {np.sqrt(lv):.6f}")
     payload = {
-        "task": {
-            "n": spec.n,
-            "d": spec.d,
-            "m": spec.m,
-            "true_function": spec.true_function,
-            "noise_sd": spec.noise_sd,
-            "component_quality": list(spec.component_quality),
-            "seed": spec.seed,
-        },
+        "task": asdict(spec),
         "component_train_losses": losses,
         "out": str(out),
     }
@@ -410,11 +403,11 @@ def _print_construction(payload: dict) -> None:
 
 
 def _cmd_verify(args):
-    if args.claim == "scaled-activation":
-        return _verify_scaled(args)
     spec = TrialSpec(
         n=args.n, k=args.k, trials=args.trials, seed=args.seed, component_noise=args.noise
     )
+    if args.claim == "scaled-activation":
+        return _verify_scaled(args, spec)
     if args.claim == "orthogonality":
         report = verify_orthogonality(spec)
     elif args.claim == "theorem1":
@@ -434,12 +427,11 @@ def _cmd_verify(args):
     return d, []
 
 
-def _verify_scaled(args):
+def _verify_scaled(args, spec: TrialSpec):
     activation = parse_activation(args.activation)
-    rng = np.random.default_rng(args.seed)
-    n, k = args.n, args.k
-    y = rng.standard_normal(n)
-    cols = y[:, None] + args.noise * rng.standard_normal((n, k))
+    rng = np.random.default_rng(spec.seed)
+    y = rng.standard_normal(spec.n)
+    cols = y[:, None] + spec.component_noise * rng.standard_normal((spec.n, spec.k))
     theta = solve_theta_star(build_gram(cols, y))
     g_star = theta[0] + cols @ theta[1:]
     wrapper = construct_wrapper(g_star, activation, args.epsilon)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -232,49 +232,53 @@ class SyntheticTaskSpec:
         self.component_quality = tuple(float(q) for q in self.component_quality)
         if not self.component_quality:
             raise DataError("component_quality needs at least one entry")
-        if any(q < 0 for q in self.component_quality):
-            raise DataError("component_quality entries must be non-negative")
+        if not all(0 <= q < math.inf for q in self.component_quality):
+            raise DataError("component_quality entries must be finite and non-negative")
 
 
 def save_task_spec(spec: SyntheticTaskSpec, path) -> None:
-    lines = [
-        f"n={spec.n}",
-        f"d={spec.d}",
-        f"m={spec.m}",
-        f"true_function={spec.true_function}",
-        f"noise_sd={spec.noise_sd!r}",
-        "component_quality=" + ",".join(repr(q) for q in spec.component_quality),
-        f"seed={spec.seed}",
-    ]
+    """Write one ``key=value`` line per field, in field order."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for f in fields(spec):
+            value = getattr(spec, f.name)
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            fh.write(f"{f.name}={text}\n")
+
+
+# how load_task_spec reads a value, by its field's annotation
+_SPEC_VALUES = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[float, ...]": lambda text: tuple(float(tok) for tok in text.split(",")),
+}
 
 
 def load_task_spec(path) -> SyntheticTaskSpec:
+    """Read ``save_task_spec``'s lines; a field left out takes its default.
+    An unknown key or a value that does not parse is a ``DataError`` that
+    names the file, the line and the key."""
+    types = {f.name: f.type for f in fields(SyntheticTaskSpec)}
     kv = {}
     with open(path, encoding="utf-8") as fh:
         for i, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise DataError(f"line {i}: expected key=value")
-            key, value = line.split("=", 1)
-            kv[key.strip()] = value.strip()
-    try:
-        return SyntheticTaskSpec(
-            n=int(kv["n"]),
-            d=int(kv["d"]),
-            m=int(kv.get("m", 1)),
-            true_function=kv.get("true_function", "mlp-teacher"),
-            noise_sd=float(kv.get("noise_sd", 0.0)),
-            component_quality=tuple(
-                float(tok) for tok in kv.get("component_quality", "0.1,0.2,0.3").split(",")
-            ),
-            seed=int(kv.get("seed", 0)),
-        )
-    except KeyError as exc:
-        raise DataError(f"missing task spec field: {exc}") from exc
+            key, eq, value = line.partition("=")
+            key = key.strip()
+            if not eq:
+                raise DataError(f"{path}: line {i}: expected key=value")
+            if key not in types:
+                raise DataError(f"{path}: line {i}: unknown task spec key {key!r}")
+            try:
+                kv[key] = _SPEC_VALUES[types[key]](value.strip())
+            except ValueError as exc:
+                raise DataError(f"{path}: line {i}: {key}: {exc}") from None
+    for f in fields(SyntheticTaskSpec):
+        if f.name not in kv and f.default is MISSING:
+            raise DataError(f"{path}: missing task spec field: {f.name!r}")
+    return SyntheticTaskSpec(**kv)
 
 
 class _Teacher:

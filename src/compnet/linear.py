@@ -18,7 +18,7 @@ assumptions the guarantees depend on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -154,11 +154,7 @@ class AssumptionReport:
     a4: A4Check
 
     def to_dict(self) -> dict:
-        return {
-            "a1": {"holds": self.a1.holds, "min_singular_value": self.a1.min_singular_value},
-            "a2": {"holds": self.a2.holds, "min_l1_error": self.a2.min_l1_error},
-            "a4": {"holds": self.a4.holds, "bound": self.a4.bound},
-        }
+        return asdict(self)
 
 
 def check_a1(gram: np.ndarray) -> A1Check:

@@ -13,7 +13,7 @@ evaluation is read-only.  Training code works on copies.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,6 +59,7 @@ class AffineLayer:
         return AffineLayer(self.weights.copy(), self.bias.copy(), self.activation)
 
 
+@dataclass(eq=False)
 class Component:
     """A neural-network unit with a role, a kind, and per-block frozen flags.
 
@@ -66,38 +67,34 @@ class Component:
     row the component consumes; None means all columns.
     """
 
-    def __init__(
-        self,
-        id: str,
-        kind: str,
-        role: str,
-        layers: list[AffineLayer],
-        frozen: list[bool] | None = None,
-        input_columns: np.ndarray | None = None,
-    ):
-        if kind not in (KIND_PRETRAINED, KIND_OPEN):
-            raise ModelError(f"unknown component kind {kind!r}")
-        if role not in (ROLE_BASE, ROLE_AUX):
-            raise ModelError(f"unknown component role {role!r}")
-        if not layers:
+    id: str
+    kind: str
+    role: str
+    layers: list[AffineLayer]
+    frozen: list[bool] | None = None
+    input_columns: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.kind not in (KIND_PRETRAINED, KIND_OPEN):
+            raise ModelError(f"unknown component kind {self.kind!r}")
+        if self.role not in (ROLE_BASE, ROLE_AUX):
+            raise ModelError(f"unknown component role {self.role!r}")
+        if not self.layers:
             raise ModelError("component needs at least one layer")
-        for a, b in zip(layers, layers[1:]):
+        for a, b in zip(self.layers, self.layers[1:]):
             if a.weights.shape[1] != b.weights.shape[0]:
-                raise ModelError(f"component {id!r}: layer widths do not chain")
-        if frozen is None:
-            frozen = [kind == KIND_PRETRAINED] * len(layers)
-        if len(frozen) != len(layers):
+                raise ModelError(f"component {self.id!r}: layer widths do not chain")
+        if self.frozen is None:
+            self.frozen = [self.kind == KIND_PRETRAINED] * len(self.layers)
+        if len(self.frozen) != len(self.layers):
             raise ModelError("one frozen flag per layer block required")
-        if kind == KIND_PRETRAINED and not all(frozen):
-            raise ModelError(f"pre-trained component {id!r} must have every block frozen")
-        if kind == KIND_OPEN and all(frozen):
-            raise ModelError(f"non-instantiated component {id!r} needs a trainable block")
-        self.id = id
-        self.kind = kind
-        self.role = role
-        self.layers = layers
-        self.frozen = list(frozen)
-        self.input_columns = None if input_columns is None else np.asarray(input_columns, dtype=int)
+        if self.kind == KIND_PRETRAINED and not all(self.frozen):
+            raise ModelError(f"pre-trained component {self.id!r} must have every block frozen")
+        if self.kind == KIND_OPEN and all(self.frozen):
+            raise ModelError(f"non-instantiated component {self.id!r} needs a trainable block")
+        self.frozen = list(self.frozen)
+        if self.input_columns is not None:
+            self.input_columns = np.asarray(self.input_columns, dtype=int)
 
     @property
     def input_dim(self) -> int:
@@ -129,21 +126,12 @@ class Component:
         return sum(layer.size for layer in self.layers)
 
     def copy(self) -> "Component":
-        return Component(
-            self.id,
-            self.kind,
-            self.role,
-            [layer.copy() for layer in self.layers],
-            list(self.frozen),
-            None if self.input_columns is None else self.input_columns.copy(),
-        )
+        columns = None if self.input_columns is None else self.input_columns.copy()
+        return replace(self, layers=[layer.copy() for layer in self.layers], input_columns=columns)
 
     def opened_copy(self) -> "Component":
         """Copy with every block trainable (same id, same weights)."""
-        out = self.copy()
-        out.kind = KIND_OPEN
-        out.frozen = [False] * len(out.layers)
-        return out
+        return replace(self.copy(), kind=KIND_OPEN, frozen=[False] * len(self.layers))
 
     @classmethod
     def mlp(
@@ -274,14 +262,10 @@ class CompositeNetwork:
         return [n for n in self.nodes if isinstance(n, ComponentRef)]
 
     def copy(self) -> "CompositeNetwork":
-        nodes: list[Node] = []
-        for n in self.nodes:
-            if isinstance(n, ComponentRef):
-                nodes.append(ComponentRef(n.id, n.component))
-            elif isinstance(n, Combine):
-                nodes.append(Combine(n.id, list(n.children), n.theta.copy()))
-            else:
-                nodes.append(Activate(n.id, n.child, n.activation))
+        nodes = [
+            replace(n, theta=n.theta.copy()) if isinstance(n, Combine) else replace(n)
+            for n in self.nodes
+        ]
         return CompositeNetwork(nodes, self.root)
 
     def to_dict(self) -> dict:

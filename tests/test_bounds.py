@@ -14,6 +14,9 @@ class TestTrialSpec:
             cn.TrialSpec(n=10, k=1, trials=50)
         with pytest.raises(ValueError):
             cn.TrialSpec(n=10, k=1, trials=200, component_noise=0.0)
+        for noise in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="component_noise must be finite and positive"):
+                cn.TrialSpec(n=10, k=1, trials=200, component_noise=noise)
 
 
 class TestOrthogonality:

@@ -1,6 +1,7 @@
 """CLI: exit codes, determinism, report/manifest plumbing."""
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import compnet as cn
+from compnet.activations import ActivationError
 from compnet.cli import build_parser, main, replay_manifest, write_report
 
 
@@ -116,6 +118,17 @@ class TestHelp:
         }
         assert named and not named - options, sorted(named - options)
 
+    def test_readme_task_spec_entry_names_every_field(self):
+        """README's task-spec entry lists the keys of the one field list."""
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = re.search(r"^## File formats\n(.*?)(?=^## |\Z)", text, re.MULTILINE | re.DOTALL)
+        entry = re.search(
+            r"^- \*\*task spec\*\*(.*?)(?=^- \*\*|\Z)", section[1], re.MULTILINE | re.DOTALL
+        )
+        named = set(re.findall(r"`([^`]+)`", entry[1]))
+        missing = [f.name for f in dataclasses.fields(cn.SyntheticTaskSpec) if f.name not in named]
+        assert not missing, missing
+
 
 class TestSynth:
     def test_qualities_set_one_component_each(self, tmp_path, capsys):
@@ -159,6 +172,15 @@ class TestSynth:
             [[3, 2]], [[3, 2]]
         ]
         assert "true_function=linear" in (out / "task.spec").read_text()
+
+    def test_report_task_block_is_the_saved_spec(self, tmp_path, capsys):
+        out, rep = tmp_path / "s", tmp_path / "synth.json"
+        argv = ["synth", "--seed", "4", "--n", "60", "--d", "3", "--noise", "0.03",
+                "--qualities", "0.15,0.3", "--out", str(out), "--report", str(rep)]
+        assert main(argv) == 0
+        spec = dataclasses.asdict(cn.load_task_spec(out / "task.spec"))
+        assert json.loads(rep.read_text())["task"] == json.loads(json.dumps(spec))
+        assert spec["noise_sd"] == 0.03 and spec["component_quality"] == (0.15, 0.3)
 
     def test_byte_identical_datasets(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -552,6 +574,69 @@ class TestCompose:
             assert min(rows) >= train_loss - 1e-12
 
 
+class TestNonFiniteSettings:
+    """A NaN or infinite setting exits 2 with a message that names it, before
+    any pool is evaluated or any file is written."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("did work with a non-finite setting")
+
+        for target in (
+            "compnet.cli.generate_synthetic",
+            "compnet.cli.build_gram",
+            "compnet.bounds._run_trials",
+            "compnet.construct._component_state",
+            "compnet.construct._fit",
+        ):
+            monkeypatch.setattr(target, refuse)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["synth", "--qualities", "{},0.1"],
+             "DataError: component_quality entries must be finite and non-negative"),
+            (["verify", "theorem1", "--noise", "{}"],
+             "ValueError: component_noise must be finite and positive"),
+            (["verify", "scaled-activation", "--noise", "{}"],
+             "ValueError: component_noise must be finite and positive"),
+            (["compose", "dbcn", "--activations", "linear,scaled-logistic:{}:1"],
+             "ActivationError: scaled-logistic needs finite positive scale and range"),
+            (["compose", "dbcn", "--activations", "linear,scaled-logistic:1:{}"],
+             "ActivationError: scaled-logistic needs finite positive scale and range"),
+        ],
+        ids=["synth-qualities", "theorem1-noise", "scaled-activation-noise", "sl-scale",
+             "sl-range"],
+    )
+    def test_setting_is_named_before_any_work(
+        self, bundle, tmp_path, capsys, command, message, value
+    ):
+        out, rep = tmp_path / "out", tmp_path / "r.json"
+        argv = [token.format(value) for token in command] + ["--report", str(rep)]
+        if command[0] == "synth":
+            argv += ["--out", str(out)]
+        if command[0] == "compose":
+            argv += ["--pool", str(bundle / "components.json"), "--data", str(bundle / "data.csv")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not rep.exists()
+
+    @pytest.mark.parametrize("key", ["scale", "range"])
+    def test_pool_activation_is_named_before_evaluation(self, bundle, tmp_path, capsys, key):
+        pool = json.loads((bundle / "components.json").read_text())
+        activation = {"tag": "scaled-logistic", "scale": 1.0, "range": 1.0, key: math.nan}
+        pool["components"][0]["layers"][-1]["activation"] = activation
+        path, rep = tmp_path / "bad.json", tmp_path / "r.json"
+        path.write_text(json.dumps(pool))
+        argv = ["compose", "dbcn", "--pool", str(path), "--data", str(bundle / "data.csv"),
+                "--report", str(rep)]
+        assert main(argv) == 2
+        assert "scaled-logistic needs finite positive scale and range" in capsys.readouterr().err
+        assert not rep.exists()
+
+
 class TestVerifyCli:
     def test_theorem1_prints_rate_and_bound(self, capsys, tmp_path):
         rep = tmp_path / "v.json"
@@ -613,6 +698,16 @@ class TestParseActivation:
     def test_bad_token_rejected(self, token):
         with pytest.raises(ValueError, match="cannot parse"):
             cn.parse_activation(token)
+
+    @pytest.mark.parametrize(
+        "token", ["scaled-logistic:nan:1", "scaled-logistic:1:nan", "scaled-logistic:inf:inf"]
+    )
+    def test_non_finite_scaled_logistic_rejected(self, token):
+        with pytest.raises(ActivationError, match="finite positive scale and range"):
+            cn.parse_activation(token)
+        scale, out_range = (float(v) for v in token.split(":")[1:])
+        with pytest.raises(ActivationError, match="finite positive scale and range"):
+            cn.Activation.from_dict({"tag": "scaled-logistic", "scale": scale, "range": out_range})
 
 
 class TestImpute:

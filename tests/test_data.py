@@ -1,5 +1,6 @@
 """Data plumbing: imputation, interpolation, synthetic tasks, CSV."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -243,6 +244,11 @@ class TestGenerateSynthetic:
             assert len(comps) == 2
             assert all(c.kind == cn.KIND_PRETRAINED for c in comps)
 
+    @pytest.mark.parametrize("quality", [np.nan, np.inf])
+    def test_non_finite_quality_rejected(self, quality):
+        with pytest.raises(cn.DataError, match="component_quality entries must be finite"):
+            cn.SyntheticTaskSpec(n=40, d=3, component_quality=(0.1, quality))
+
     def test_task_spec_config_roundtrip(self, tmp_path):
         spec = cn.SyntheticTaskSpec(
             n=77, d=5, m=2, true_function="linear", noise_sd=0.125,
@@ -251,6 +257,52 @@ class TestGenerateSynthetic:
         path = tmp_path / "task.spec"
         cn.save_task_spec(spec, path)
         assert cn.load_task_spec(path) == spec
+
+    @given(
+        spec=st.builds(
+            cn.SyntheticTaskSpec,
+            n=st.integers(1, 10**9),
+            d=st.integers(1, 10**9),
+            m=st.integers(1, 10**9),
+            true_function=st.sampled_from(["linear", "mlp-teacher", "sum-of-experts"]),
+            noise_sd=st.floats(min_value=-0.0, allow_infinity=False),
+            component_quality=st.lists(
+                st.floats(min_value=-0.0, allow_infinity=False), min_size=1, max_size=5
+            ).map(tuple),
+            seed=st.integers(),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_valid_task_spec_round_trips_bit_exactly(self, tmp_path_factory, spec):
+        path = tmp_path_factory.mktemp("spec") / "task.spec"
+        cn.save_task_spec(spec, path)
+        loaded = cn.load_task_spec(path)
+        # repr tells -0.0 from 0.0 and shows every float's shortest round-trip digits
+        assert loaded == spec and repr(loaded) == repr(spec)
+
+    def test_omitted_keys_take_their_defaults(self, tmp_path):
+        path = tmp_path / "task.spec"
+        path.write_text("# only the fields without a default\nn=10\n\nd=2\n")
+        assert cn.load_task_spec(path) == cn.SyntheticTaskSpec(n=10, d=2)
+        path.write_text("d=2\n")
+        with pytest.raises(cn.DataError, match="missing task spec field: 'n'"):
+            cn.load_task_spec(path)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("n=10\nd=2\nnoise=0.1\n", "line 3: unknown task spec key 'noise'"),
+            ("n=x\nd=2\n", "line 1: n: invalid literal for int() with base 10: 'x'"),
+            ("n=10\nd=2\ncomponent_quality=\n", "line 3: component_quality: could not convert"),
+            ("n=10\nd 2\n", "line 2: expected key=value"),
+        ],
+        ids=["unknown-key", "malformed-int", "empty-tuple", "no-equals"],
+    )
+    def test_task_spec_diagnostics_name_file_line_and_key(self, tmp_path, text, where):
+        path = tmp_path / "task.spec"
+        path.write_text(text)
+        with pytest.raises(cn.DataError, match=re.escape(f"{path}: {where}")):
+            cn.load_task_spec(path)
 
 
 class TestCsv:

@@ -212,6 +212,17 @@ class TestAssumptions:
         rep = cn.check_assumptions(np.column_stack([y, y]), y)
         assert not rep.a1.holds and not rep.a2.holds
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a1_reports_the_smallest_singular_value(self, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=40)
+        cols = y[:, None] + rng.normal(size=(40, 3))
+        full = np.column_stack([np.ones(40), cols])
+        expected = np.linalg.svd(full, compute_uv=False).min()
+        rep = cn.check_assumptions(cols, y)
+        assert rep.a1.holds
+        assert rep.a1.min_singular_value == pytest.approx(expected, rel=1e-8)
+
     def test_a1_report_agrees_with_solver(self):
         # singular-value ratio 1.4e-9, below the A1 criterion's ~1e-7
         rng = np.random.default_rng(0)
