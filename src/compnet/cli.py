@@ -46,6 +46,7 @@ from .data import (
     save_task_spec,
 )
 from .linear import (
+    SolverError,
     build_gram,
     check_assumptions,
     combination_loss,
@@ -298,6 +299,8 @@ def _cmd_synth(args):
 
 
 def _cmd_solve_linear(args):
+    if not 0.0 <= args.ridge < np.inf:  # as solve_theta_star checks, before the data is read
+        raise SolverError(f"--ridge must be finite and non-negative, got {args.ridge}")
     with open(args.data, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), [])
     names = [h for h in header if h != "y"]

@@ -26,10 +26,12 @@ on the train rows; with an operand opened it is one least-squares
 solve for the new mix and the opened last layers together, on the same
 rows, and the rest of each opened component keeps its weights.  Each
 merge reads an opened operand's affine terms once, for all of its
-candidates.  Trained: any other candidate's mixing weights start at
-theta* and it trains them (plus the blocks of the opened components)
-from there, keeping its best epoch; the already-built subtree acts as
-a frozen feature extractor.
+candidates, and solves each operand variant once: an SL candidate is SL
+applied to the mix of its variant's linear candidate.  Trained: any
+other candidate's mixing weights start at theta* and it trains them
+(plus the blocks of the opened components) from there, keeping its
+best epoch; the already-built subtree acts as a frozen feature
+extractor.
 
 Candidate seeds derive from a stable description of the candidate, so
 the same candidate trains identically no matter which search produced
@@ -205,21 +207,38 @@ _Opened = dict[str, tuple[float, dict[str, float]] | None]  # by root: ``_affine
 _Fit = tuple[np.ndarray, dict[str, Component], str, int]  # theta, registry, note, size
 
 
+@dataclass
+class _Variant:
+    """What the candidates of one operand variant of a merge share: the
+    fit each path made first (by fit function, ``_theta_star`` or
+    ``_solve_opened``), and the values of the first solved candidate's
+    mix on the train and test splits (None on an empty split, which
+    computes nothing).  Every solved candidate of the variant has that
+    mix, bit for bit, under its own node id."""
+
+    fits: dict = field(default_factory=dict)
+    mix: list[np.ndarray | None] | None = None
+
+
 def _metric(row: EpochStats | CandidateRecord, selection_metric: str) -> float:
     return row.train_loss if selection_metric == "train_loss" else row.test_loss
 
 
-def _row_zero(net: CompositeNetwork, components: dict[str, Component], splits) -> TrainResult:
+def _row_zero(
+    net: CompositeNetwork, components: dict[str, Component], splits
+) -> tuple[TrainResult, list[dict[str, np.ndarray]]]:
     """``net`` as it stands, fitted without training: its history is row 0
-    alone, with ``evaluate``'s losses on the train and test ``splits``."""
-    outputs = [split_values(net, components, s)[net.root] for s in splits]
+    alone, with ``evaluate``'s losses on the train and test ``splits``;
+    and the node values behind them (``split_values``)."""
+    values = [split_values(net, components, s) for s in splits]
+    outputs = [v[net.root] for v in values]
     row = EpochStats(0, *(residual_loss(o, s.labels) for o, s in zip(outputs, splits)))
-    return TrainResult(net, components, [row], 0, outputs)
+    return TrainResult(net, components, [row], 0, outputs), values
 
 
 def _component_state(comp: Component, data: Dataset) -> TrainResult:
     net = single_component_network(comp.id)
-    return _row_zero(net, {comp.id: comp}, data_splits(data, [{}, {}]))
+    return _row_zero(net, {comp.id: comp}, data_splits(data, [{}, {}]))[0]
 
 
 def _derive_seed(base: int, key: str) -> int:
@@ -360,6 +379,7 @@ def _fit(
     data: Dataset,
     cfg: ConstructionConfig,
     splits: list[Split],
+    variant: _Variant,
 ) -> tuple[TrainResult | None, CandidateRecord, str | None]:
     """Build the candidate activation(mix(left, right)), where ``opened``
     holds the ``_affine_terms`` of each opened operand, and fit it on one
@@ -368,11 +388,16 @@ def _fit(
     theta* (``_theta_star``) over two frozen operands, ``_solve_opened``
     otherwise.  Trained: any other candidate's mixing weights start at
     theta*, and it trains them plus the blocks of the opened components.
-    ``splits`` are the merge's ``_operand_splits``.  Returns the fitted
-    candidate (None when it failed), its record and the error."""
+    ``splits`` are the merge's ``_operand_splits``, and ``variant`` what
+    the candidates of this operand variant share: the fit is made once
+    per path, and a solved candidate after the first computes only its
+    activation.  Returns the fitted candidate (None when it failed), its
+    record and the error."""
     solved = activation in (LINEAR, SL) and None not in opened.values()
     fit = _solve_opened if solved and opened else _theta_star
-    theta, comps, note, size = fit(left, right, opened, splits[0])
+    if fit not in variant.fits:
+        variant.fits[fit] = fit(left, right, opened, splits[0])
+    theta, comps, note, size = variant.fits[fit]
     mix = Combine(f"mix:{next(ids)}", [left.net.root, right.net.root], theta)
     nodes = [*left.net.nodes, *right.net.nodes, mix]
     if activation.tag != "linear":
@@ -384,7 +409,10 @@ def _fit(
     splits = [s.only(s.known, frozen) for s in splits]
     try:
         if solved:
-            result = _row_zero(net, comps, splits)
+            if variant.mix is not None:  # only the activation is computed
+                splits = [replace(s, known={mix.id: v}) for s, v in zip(splits, variant.mix)]
+            result, values = _row_zero(net, comps, splits)
+            variant.mix = [v.get(mix.id) for v in values]
         else:
             size = layout.size
             tcfg = replace(cfg.train_cfg, seed=_derive_seed(cfg.train_cfg.seed, seed_key))
@@ -533,8 +561,9 @@ def _execute(
     open_all: bool,
 ) -> tuple[list[StepRecord], list[str]]:
     """Run a merge plan: at each merge, fit one candidate per activation
-    and operand variant, and set the merge's state to the winner.  Returns
-    the step records and the notes."""
+    and operand variant, the candidates of a variant sharing its fits
+    (``_Variant``), and set the merge's state to the winner.  Returns the
+    step records and the notes."""
     ids = itertools.count(1)
     steps: list[StepRecord] = []
     notes: list[str] = []
@@ -546,6 +575,7 @@ def _execute(
             opened = _open(op) if "o" in marks else None
             forms.append([("x", op.state, {}) if mark == "x" else ("o", *opened) for mark in marks])
         splits = _operand_splits(m.left.state, m.right.state, data)
+        variants: dict[str, _Variant] = {}  # by the marks
         outcomes = []
         for act in cfg.activations:
             for (lmark, lstate, lopen), (rmark, rstate, ropen) in itertools.product(*forms):
@@ -557,7 +587,7 @@ def _execute(
                 outcomes.append(
                     _fit(
                         lstate, rstate, act, ids, description, seed_key, {**lopen, **ropen},
-                        data, cfg, splits,
+                        data, cfg, splits, variants.setdefault(lmark + rmark, _Variant()),
                     )
                 )
                 trained = trained or len(outcomes[-1][1].history) != 1  # 1: solved

@@ -84,8 +84,8 @@ def solve_theta_star(system: GramSystem, ridge: float = 0.0) -> np.ndarray:
     With ridge = 0 and A1 holding this is the unique least-squares
     minimizer, and its loss never exceeds the best single component's.
     """
-    if ridge < 0:
-        raise SolverError("ridge must be non-negative")
+    if not 0.0 <= ridge < np.inf:  # also false for nan
+        raise SolverError(f"ridge must be finite and non-negative, got {ridge}")
     a = system.gram + ridge * np.eye(system.k + 1)
     if ridge == 0.0 and not check_a1(a).holds:
         raise SingularGramError(

@@ -4,8 +4,11 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -606,9 +609,11 @@ class TestNonFiniteSettings:
              "ActivationError: scaled-logistic needs finite positive scale and range"),
             (["compose", "dbcn", "--activations", "linear,scaled-logistic:1:{}"],
              "ActivationError: scaled-logistic needs finite positive scale and range"),
+            (["solve-linear", "--ridge", "{}"],
+             "SolverError: --ridge must be finite and non-negative"),
         ],
         ids=["synth-qualities", "theorem1-noise", "scaled-activation-noise", "sl-scale",
-             "sl-range"],
+             "sl-range", "ridge"],
     )
     def test_setting_is_named_before_any_work(
         self, bundle, tmp_path, capsys, command, message, value
@@ -619,6 +624,8 @@ class TestNonFiniteSettings:
             argv += ["--out", str(out)]
         if command[0] == "compose":
             argv += ["--pool", str(bundle / "components.json"), "--data", str(bundle / "data.csv")]
+        if command[0] == "solve-linear":
+            argv += ["--data", str(bundle / "data.csv")]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
         assert not out.exists() and not rep.exists()
@@ -812,3 +819,19 @@ class TestReportDirEnv:
         monkeypatch.setenv("COMPNET_REPORT_DIR", str(tmp_path / "reports"))
         assert main(["verify", "prop1", "--n", "100", "--k", "2", "--trials", "120"]) == 0
         assert (tmp_path / "reports" / "verify-report.json").exists()
+
+
+def test_import_loads_neither_scipy_nor_hypothesis():
+    """Every command pays for the import: ``import compnet, compnet.cli``
+    in a fresh interpreter loads no scipy and no hypothesis module."""
+    code = (
+        "import sys, compnet, compnet.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'hypothesis'}))"
+    )
+    src = str(Path(cn.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout == "[]\n"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import compnet as cn
-from compnet.construct import _Operand, _component_state, _fit, _open, _operand_splits
+from compnet.construct import _Operand, _Variant, _component_state, _fit, _open, _operand_splits
 
 from conftest import linear_mix_network, train_columns
 
@@ -86,7 +86,7 @@ def _fit_marked(left, right, marks, activation, data, fresh=False):
         operands.append(s)
     state, record, err = _fit(
         *operands, activation, _IDS, f"{activation.label}({marks})", "k",
-        opened, data, _cfg(), _operand_splits(left, right, data),
+        opened, data, _cfg(), _operand_splits(left, right, data), _Variant(),
     )
     assert err is None
     return state, record
@@ -136,6 +136,54 @@ class TestFrozenSlMerge:
         e = 2e-6 * np.abs(z) ** 3 / 6
         bound = float(np.sum(e * (2 * np.abs(z - y) + e)) / y.shape[0])
         assert abs(sl.train_loss - lin.train_loss) <= bound + RTOL * lin.train_loss
+
+
+def _shared_steps(a, b):
+    """The step pairs of two runs that merge the same operands: every step
+    up to and including the first whose front-runners differ."""
+    for sa, sb in zip(a, b):
+        yield sa, sb
+        if sa.front_runner != sb.front_runner:
+            return
+
+
+class TestSharedFits:
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("algorithm", ["exhaustive", "dbcn"])
+    def test_sharing_changes_no_bit(self, algorithm, m):
+        """A solved candidate reads its operand variant's fit and mix from
+        the candidates before it, or makes them when it comes first; a tanh
+        candidate starts from the theta* its variant's solved candidates
+        read, and trains a copy.  Each candidate's record, history
+        included, is the same bits in every run that merges the same
+        operands, whatever activations come before or after it."""
+        spec = cn.SyntheticTaskSpec(
+            n=160, d=5, m=m, true_function="mlp-teacher", noise_sd=0.02,
+            component_quality=(0.1, 0.3, 0.5), seed=11,
+        )
+        data, comps = cn.generate_synthetic(spec)
+
+        def steps(*activations):
+            build = getattr(cn, algorithm)
+            return build(comps, data, _cfg(k0=1, activations=activations)).steps
+
+        def fields(step, activation):
+            return [
+                (c.description, c.train_loss, c.test_loss, c.trainable, c.total, c.note, c.history)
+                for c in step.candidates
+                if c.description.startswith(f"{activation.label}(")
+            ]
+
+        settings = [
+            (cn.SL,), (cn.LINEAR, cn.SL), (cn.SL, cn.LINEAR), (cn.LINEAR, cn.SL, cn.TANH),
+            (cn.LINEAR, cn.TANH), (cn.TANH, cn.SL),
+        ]
+        runs = {acts: steps(*acts) for acts in settings}
+        for activation in (cn.LINEAR, cn.SL, cn.TANH):
+            having = [run for acts, run in runs.items() if activation in acts]
+            for a, b in itertools.combinations(having, 2):
+                for sa, sb in _shared_steps(a, b):
+                    assert fields(sa, activation) and fields(sa, activation) == fields(sb, activation)
 
 
 class TestOtherActivation:
@@ -410,8 +458,10 @@ class TestOpenedSolve:
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_solved_candidates_report_the_columns_they_fit(self, m, monkeypatch):
-        """A solved '^o' candidate's ``trainable`` is its design's width,
-        not every block it opens; a theta* candidate's is its 3 weights."""
+        """A solved '^o' candidate's ``trainable`` is its variant's design
+        width, not every block it opens; a theta* candidate's is its 3
+        weights.  Each opened variant of a merge is solved once, for its L
+        and SL candidates: three variants at each of two merges."""
         widths, solve = [], cn.construct.solve_min_norm
 
         def spy(design, target):
@@ -427,10 +477,41 @@ class TestOpenedSolve:
         report = cn.exhaustive(comps, data, _cfg(k0=1))
         candidates = [c for s in report.steps for c in s.candidates]
         assert all(len(c.history) == 1 for c in candidates)  # every one solved
-        solved = [c.trainable for c in candidates if "^o" in c.description]
-        assert solved == widths and len(widths) == 12
+        opened = [
+            (i, c) for i, s in enumerate(report.steps) for c in s.candidates if "^o" in c.description
+        ]
+        variants = [(i, c.description.split("(", 1)[1]) for i, c in opened]  # step, operands
+        solve_order = list(dict.fromkeys(variants))
+        assert len(widths) == len(solve_order) == 6
+        width = dict(zip(solve_order, widths))
+        assert [c.trainable for _, c in opened] == [width[v] for v in variants]
         assert all(c.trainable < c.total for c in candidates)
         assert {c.trainable for c in candidates if "^o" not in c.description} == {3}
+
+    @pytest.mark.parametrize(
+        "algorithm, solves, theta_stars", [("exhaustive", 3, 1), ("dbcn", 0, 1), ("bbcn", 0, 1)]
+    )
+    def test_one_solve_per_operand_variant(self, algorithm, solves, theta_stars, monkeypatch):
+        """The L and SL candidates of an operand variant share its solve:
+        an ``exhaustive`` merge makes one theta* (its frozen variant) and
+        one last-layer solve per opened variant, and a ``dbcn`` or ``bbcn``
+        merge one theta*."""
+        calls = {"solve_min_norm": 0, "solve_theta_star": 0}
+        for name in calls:
+            def counting(*args, _solve=getattr(cn.construct, name), _name=name):
+                calls[_name] += 1
+                return _solve(*args)
+
+            monkeypatch.setattr(cn.construct, name, counting)
+        data, comps = _criterion_7_task(1000)
+        if algorithm == "exhaustive":
+            report = cn.exhaustive(comps[:3], data, _cfg(k0=1))
+        else:
+            report = getattr(cn, algorithm)(comps, data, _cfg(k0=2))
+        merges = len(report.steps)
+        assert merges == (2 if algorithm == "exhaustive" else 4)
+        assert all(len(c.history) == 1 for s in report.steps for c in s.candidates)
+        assert calls == {"solve_min_norm": solves * merges, "solve_theta_star": theta_stars * merges}
 
     def test_one_affine_walk_per_opened_operand_per_merge(self, monkeypatch):
         """Every candidate that opens an operand reads the terms its merge

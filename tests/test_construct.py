@@ -109,7 +109,7 @@ class TestDbcn:
         report = cn.dbcn(pool, data, cfg)
         import itertools
 
-        from compnet.construct import _component_state, _fit, _operand_splits
+        from compnet.construct import _Variant, _component_state, _fit, _operand_splits
 
         ids = itertools.count(1)
         state = _component_state(pool[0], data)
@@ -129,6 +129,7 @@ class TestDbcn:
                     data=data,
                     cfg=cfg,
                     splits=_operand_splits(state, right, data),
+                    variant=_Variant(),  # nothing shared: each candidate fits alone
                 )
                 assert err is None
                 outcomes.append((record.train_loss, record.description, trained))

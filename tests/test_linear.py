@@ -1,5 +1,7 @@
 """Closed-form combiner: gram assembly, solve, assumption checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,6 +103,12 @@ class TestSolve:
         sys = cn.build_gram(rng.normal(size=(5, 1)), rng.normal(size=5))
         with pytest.raises(cn.SolverError):
             cn.solve_theta_star(sys, ridge=-1.0)
+
+    @pytest.mark.parametrize("ridge", [math.nan, math.inf, -math.inf])
+    def test_ridge_must_be_finite(self, rng, ridge):
+        sys = cn.build_gram(rng.normal(size=(5, 1)), rng.normal(size=5))
+        with pytest.raises(cn.SolverError, match="ridge must be finite and non-negative"):
+            cn.solve_theta_star(sys, ridge=ridge)
 
     def test_ridge_recovers_singular_system(self):
         cols = np.column_stack([np.arange(6.0), 2.0 * np.arange(6.0)])
